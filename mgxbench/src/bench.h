@@ -57,6 +57,7 @@ struct TracedCell
     double setupS = 0.0;  ///< makeKernel (registry parse + input synthesis)
     double genS = 0.0;    ///< in nextChunk, outside consume
     double replayS = 0.0; ///< in consume: engine + DRAM per phase
+    double runS = 0.0;    ///< Kernel::stream + PerfModel::run, setup excluded
     double cellS = 0.0;   ///< whole cell, setup included
     mgx::u64 phases = 0;
     mgx::u64 accesses = 0;
@@ -66,7 +67,9 @@ struct TracedCell
  * Replay one cell on its default platform through makeKernel,
  * Kernel::stream and PerfModel::run(PhaseSource&) on a fresh
  * DramSystem/ProtectionEngine, timing the source per chunk and the
- * sink per phase. Spans: cell > core.setup, sim.run.
+ * sink per phase. Spans: cell > core.setup, sim.run. With @p spans
+ * null the same loop runs unwrapped and untraced (only setupS, runS,
+ * cellS and result are set): the baseline of trace.overhead_frac.
  */
 TracedCell traceCell(const std::string &workload,
                      mgx::protection::Scheme scheme, SpanRecorder *spans,

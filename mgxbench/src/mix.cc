@@ -36,6 +36,7 @@ class SplitMix
 };
 
 constexpr const char *kDiskSchemes[] = {"MGX", "BP", "MGX_VN", "MGX_MAC"};
+// Assumed shares and lag (see mix.h): no recorded traffic backs them.
 constexpr double kFirstShare = 0.08;
 constexpr double kDiskShare = 0.12;
 constexpr std::size_t kDiskLag = 8;
@@ -77,24 +78,25 @@ poolWorkloads()
     return out;
 }
 
+Mix::Mix(mgx::u64 seed) : seed_(seed), order_(poolWorkloads().size())
+{
+    // The run-wide pool order depends on the seed only.
+    std::iota(order_.begin(), order_.end(), 0);
+    SplitMix perm(seed * 0x2545F4914F6CDD1Dull + 1);
+    for (std::size_t i = order_.size(); i > 1; --i)
+        std::swap(order_[i - 1], order_[perm.below(i)]);
+}
+
 std::vector<Request>
-makeBatch(mgx::u64 seed, mgx::u64 batch, std::size_t n)
+Mix::next(std::size_t n)
 {
     const std::vector<Request> hot = hotCells();
     const std::vector<std::string> pool = poolWorkloads();
-
-    // The run-wide pool order depends on the seed only.
-    std::vector<std::size_t> order(pool.size());
-    std::iota(order.begin(), order.end(), 0);
-    SplitMix perm(seed * 0x2545F4914F6CDD1Dull + 1);
-    for (std::size_t i = order.size(); i > 1; --i)
-        std::swap(order[i - 1], order[perm.below(i)]);
-
     const auto firsts = static_cast<std::size_t>(
         std::lround(kFirstShare * static_cast<double>(n)));
-    std::size_t next_first = static_cast<std::size_t>(batch) * firsts;
+    const mgx::u64 batch = batch_++;
 
-    SplitMix rng(seed ^ (0x9E3779B97F4A7C15ull * (batch + 1)));
+    SplitMix rng(seed_ ^ (0x9E3779B97F4A7C15ull * (batch + 1)));
     struct Open
     {
         std::size_t workload;
@@ -115,7 +117,7 @@ makeBatch(mgx::u64 seed, mgx::u64 batch, std::size_t n)
             firsts_left > 0 &&
             (u < kFirstShare || firsts_left >= remaining);
         if (want_first) {
-            const std::size_t w = order[next_first++ % order.size()];
+            const std::size_t w = order_[nextFirst_++ % order_.size()];
             out.push_back({RequestKind::First, pool[w], "NP"});
             open.push_back({w, i});
             --firsts_left;

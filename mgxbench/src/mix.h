@@ -12,8 +12,17 @@
  *          batch already generated: memo miss, trace-cache read + CRC
  *
  * A batch draws kinds with fixed shares and walks the workload pool
- * in a seeded order, so the same (seed, batch) always yields the same
- * requests. Every cell of the mix is in the committed digest.
+ * in a seeded order, so the same seed always yields the same batches.
+ * Every cell of the mix is in the committed digest.
+ *
+ * The shares (80% Hot, 8% First, about 12% Disk), the 8-cell hot set,
+ * the 96-workload pool and the Disk lag are assumptions, not
+ * measurements: no recorded /run traffic exists to base them on, and
+ * their only basis is "mostly hot repeats, some first-touch cells, some
+ * disk re-reads". First and Disk requests cost about 100x a memo hit,
+ * so the serve workload's wall_s mostly follows the First and Disk
+ * shares; read it as a synthetic probe of the serve path until a
+ * recorded mix replaces these constants.
  */
 #ifndef MGXBENCH_MIX_H
 #define MGXBENCH_MIX_H
@@ -43,16 +52,32 @@ std::vector<Request> hotCells();
 std::vector<std::string> poolWorkloads();
 
 /**
- * The @p n requests of batch @p batch for benchmark seed @p seed: 8%
- * First, about 12% Disk, the rest Hot. First requests of consecutive
- * batches walk a seeded permutation of the pool, so a workload comes
- * back only after the rest of the pool has been used (the trace cache
- * is cleared between batches). A Disk request names a workload whose
- * First request is at least 8 positions earlier, so its trace is
- * usually on disk by then.
+ * The batches of one benchmark run for seed @p seed. First requests of
+ * successive batches, whatever their sizes, walk one seeded
+ * permutation of the pool, so a workload's First request comes back
+ * only after every other pool workload has had one (the trace cache is
+ * cleared between batches, and the pool's 5 x 96 cells are far more
+ * than the workers' result memos hold).
  */
-std::vector<Request> makeBatch(mgx::u64 seed, mgx::u64 batch,
-                               std::size_t n);
+class Mix
+{
+  public:
+    explicit Mix(mgx::u64 seed);
+
+    /**
+     * The next @p n requests: round(8% of n) First, about 12% Disk,
+     * the rest Hot. A Disk request names a workload whose First request
+     * is at least 8 positions earlier in the batch, so its trace is
+     * usually on disk by then.
+     */
+    std::vector<Request> next(std::size_t n);
+
+  private:
+    mgx::u64 seed_;
+    mgx::u64 batch_ = 0;
+    std::size_t nextFirst_ = 0; ///< position in order_ of the next First
+    std::vector<std::size_t> order_;
+};
 
 /** Percent-encoded /run target for one request. */
 std::string runTarget(const Request &r);

@@ -13,16 +13,15 @@
  * tracing overhead), an open-loop ladder of fixed offered rates —
  * each request timed from the moment it was due, so a stall counts
  * against every request queued behind it — direct-to-worker probes
- * for the proxy hop, /stats counters, trace-file write/read rates,
- * and an in-process traced replay of the mix's cells (the engine
- * layers the workers run).
+ * for the proxy hop, /stats counters and trace-file write/read
+ * rates. The engine layers (core, sim, dram, protection) are measured
+ * on the compute workloads; here they read 0.
  */
 #include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -385,7 +384,7 @@ traceIoRates(const std::string &dir, u64 seed)
 {
     fs::create_directories(dir);
     double bytes = 0.0, write_s = 0.0, read_s = 0.0;
-    const auto batch = makeBatch(seed, 0, kBatchRequests);
+    const auto batch = Mix(seed).next(kBatchRequests);
     int files = 0;
     for (const Request &r : batch) {
         if (r.kind != RequestKind::First || files == 8)
@@ -443,11 +442,13 @@ runServe(const Options &opts, const Digest &digest, SpanRecorder *spans)
     // Prime the hot cells (their first run is an engine run).
     account(drive(fleet->proxy(), hotCells(), 0));
 
+    Mix mix(opts.seed);
     u64 batch = 0;
     const auto runBatch = [&](double rate, std::size_t n,
                               SpanRecorder *rec) {
         clearCache(fleet->cacheDir());
-        const auto requests = makeBatch(opts.seed, batch++, n);
+        const auto requests = mix.next(n);
+        ++batch;
         const auto t0 = Clock::now();
         auto samples = drive(fleet->proxy(), requests, rate);
         const double wall = seconds(t0, Clock::now());
@@ -461,7 +462,7 @@ runServe(const Options &opts, const Digest &digest, SpanRecorder *spans)
         // One pass = enough batches for the First requests to walk the
         // whole pool permutation once: the same work for every seed,
         // only its order and grouping differ.
-        const auto first_batch = makeBatch(opts.seed, 0, kBatchRequests);
+        const auto first_batch = Mix(opts.seed).next(kBatchRequests);
         const auto firsts = static_cast<std::size_t>(std::count_if(
             first_batch.begin(), first_batch.end(), [](const Request &r) {
                 return r.kind == RequestKind::First;
@@ -548,7 +549,7 @@ runServe(const Options &opts, const Digest &digest, SpanRecorder *spans)
     // Engine path: memo misses (First requests) sent direct.
     clearCache(fleet->cacheDir());
     std::vector<Request> misses;
-    for (const Request &r : makeBatch(opts.seed, batch++, kBatchRequests))
+    for (const Request &r : mix.next(kBatchRequests))
         if (r.kind == RequestKind::First)
             misses.push_back(r);
     auto engine = drive(fleet->worker(0), misses, 0, 1);
@@ -601,23 +602,6 @@ runServe(const Options &opts, const Digest &digest, SpanRecorder *spans)
     out.set("trace_io.write_mb_per_s", write_mbps, "MB/s");
     out.set("trace_io.read_mb_per_s", read_mbps, "MB/s");
 
-    // The engine work behind the mix, replayed in-process and traced
-    // like the compute cells: every distinct cell of the first batch.
-    LayerTotals totals;
-    std::set<std::string> seen;
-    for (const Request &r : makeBatch(opts.seed, 0, kBatchRequests)) {
-        const std::string key = cellKey(
-            r.workload, mgx::sim::defaultPlatform(r.workload).name, r.scheme);
-        if (!seen.insert(key).second)
-            continue;
-        const TracedCell c = traceCell(
-            r.workload, mgx::sim::schemeByName(r.scheme), spans, seen.size());
-        totals.add(c);
-        ++out.attempted;
-        if (!digest.matches(key, cellStats(c.result)))
-            ++out.failed;
-    }
-    totals.report(out);
     return out;
 }
 

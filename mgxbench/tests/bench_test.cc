@@ -97,23 +97,32 @@ testSelfTime()
           live[0].end - live[0].start);
 }
 
+bool
+sameRequests(const std::vector<mgxbench::Request> &a,
+             const std::vector<mgxbench::Request> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (a[i].workload != b[i].workload || a[i].scheme != b[i].scheme ||
+            a[i].kind != b[i].kind)
+            return false;
+    return true;
+}
+
 void
 testMix()
 {
     using namespace mgxbench;
-    const auto a = makeBatch(11, 3, 400);
-    const auto b = makeBatch(11, 3, 400);
-    const auto c = makeBatch(12, 3, 400);
-    CHECK(a.size() == 400);
-    bool same = true, differs = false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        same = same && a[i].workload == b[i].workload &&
-               a[i].scheme == b[i].scheme && a[i].kind == b[i].kind;
-        differs = differs || a[i].workload != c[i].workload ||
-                  a[i].scheme != c[i].scheme;
+    Mix m11(11), again(11), m12(12);
+    std::vector<Request> a, c;
+    for (int b = 0; b < 4; ++b) {
+        a = m11.next(400);
+        CHECK(sameRequests(a, again.next(400)));
+        c = m12.next(400);
     }
-    CHECK(same);
-    CHECK(differs);
+    CHECK(a.size() == 400);
+    CHECK(!sameRequests(a, c));
 
     std::size_t first = 0, disk = 0;
     std::set<std::string> firsts;
@@ -137,12 +146,49 @@ testMix()
     CHECK(disk > 20 && disk < 80);
 
     // Consecutive batches walk on through the pool.
-    const auto next = makeBatch(11, 4, 400);
-    for (const auto &r : next)
+    for (const auto &r : m11.next(400))
         if (r.kind == RequestKind::First)
             CHECK(firsts.count(r.workload) == 0);
     CHECK(runTarget({RequestKind::First, "graph/x/bfs?seed=1", "NP"}) ==
           "/run?workload=graph/x/bfs%3Fseed%3D1&schemes=NP");
+}
+
+void
+testMixNeverRepeatsWithinMemoReach()
+{
+    using namespace mgxbench;
+    // The traced serve run's batch sizes: overhead batches, the
+    // open-loop ladder (smaller batches), then the engine-path batch.
+    const std::size_t sizes[] = {400, 400, 400, 400, 400, 400,
+                                 200, 300, 400, 400, 400};
+    // Both workers' result memos together (mgx_serve's default 64).
+    const std::size_t memo_reach = 2 * 64;
+    Mix mix(11);
+    std::vector<std::string> cells; // First and Disk cells, in order
+    std::set<std::string> first_seen;
+    bool repeated = false;
+    for (std::size_t n : sizes) {
+        for (const Request &r : mix.next(n)) {
+            if (r.kind == RequestKind::Hot)
+                continue;
+            const std::string key = r.workload + " " + r.scheme;
+            // A cell asked again has had more distinct cells between
+            // its two requests than the memos hold: a memo miss again.
+            for (std::size_t j = cells.size(); j-- > 0;)
+                if (cells[j] == key) {
+                    repeated = true;
+                    std::set<std::string> between(cells.begin() + j + 1,
+                                                  cells.end());
+                    CHECK(between.size() >= memo_reach);
+                    break;
+                }
+            if (r.kind == RequestKind::First)
+                first_seen.insert(r.workload);
+            cells.push_back(key);
+        }
+    }
+    CHECK(repeated); // the sequence does wrap around the pool
+    CHECK(first_seen.size() == poolWorkloads().size());
 }
 
 } // namespace
@@ -154,6 +200,7 @@ main()
     testTailPercentile();
     testSelfTime();
     testMix();
+    testMixNeverRepeatsWithinMemoReach();
     if (failures == 0)
         std::printf("mgxbench_test: all checks passed\n");
     return failures == 0 ? 0 : 1;
