@@ -49,12 +49,6 @@ usage(std::FILE *out)
         "                         LRU size cap for the trace cache:\n"
         "                         after the run, evict oldest-mtime\n"
         "                         traces until DIR is back under N\n"
-        "  --materialize          build each trace in memory before\n"
-        "                         replaying (the pre-streaming path;\n"
-        "                         O(workload) memory). Default is the\n"
-        "                         streaming pipeline: phases are pulled\n"
-        "                         off the kernel or cache file and\n"
-        "                         memory stays bounded by one phase\n"
         "  --pipeline             split every cell's trace generation\n"
         "                         and replay onto two threads over a\n"
         "                         bounded SPSC phase ring — bitwise-\n"
@@ -67,16 +61,6 @@ usage(std::FILE *out)
         "                         threads (producer + replay), so the\n"
         "                         pool runs floor(N/2) cells at once,\n"
         "                         and --threads 1 never pipelines\n"
-        "  --replay-threads N     channel-sharded replay: replay each\n"
-        "                         phase's per-DRAM-channel command\n"
-        "                         lanes on N threads (clamped to the\n"
-        "                         platform's channel count) and merge\n"
-        "                         deterministically — bitwise-identical\n"
-        "                         results for every N (only the shard\n"
-        "                         merge-wait counter varies). Composes\n"
-        "                         with --pipeline: such a cell budgets\n"
-        "                         1 + N threads against --threads.\n"
-        "                         Default 1 (serial replay)\n"
         "  --json FILE            write the mgx-resultset-v1 artifact\n"
         "  --quiet                suppress the table on stdout\n"
         "  --help                 this message\n"
@@ -131,9 +115,7 @@ main(int argc, char **argv)
     std::string trace_cache_dir;
     unsigned long long trace_cache_max_bytes = 0;
     unsigned threads = 0;
-    unsigned replay_threads = 1;
     bool quiet = false;
-    bool materialize = false;
     int pipeline = -1; // -1 auto, 0 forced off, 1 forced on
 
     for (int i = 1; i < argc; ++i) {
@@ -179,29 +161,17 @@ main(int argc, char **argv)
             for (auto &s : splitCommas(value()))
                 schemes.push_back(sim::schemeByName(s));
         } else if (arg == "--threads") {
+            // Digits only: strtoul alone would wrap "-1" to
+            // ULONG_MAX and skip leading blanks or a '+'.
             const char *v = value();
-            char *end = nullptr;
-            threads =
-                static_cast<unsigned>(std::strtoul(v, &end, 10));
-            if (end == v || *end != '\0') {
+            if (*v == '\0' || v[std::strspn(v, "0123456789")] != '\0') {
                 std::fprintf(stderr,
                              "mgx_run: --threads needs a number, "
                              "got '%s'\n",
                              v);
                 return usage(stderr);
             }
-        } else if (arg == "--replay-threads") {
-            const char *v = value();
-            char *end = nullptr;
-            replay_threads =
-                static_cast<unsigned>(std::strtoul(v, &end, 10));
-            if (end == v || *end != '\0' || replay_threads == 0) {
-                std::fprintf(stderr,
-                             "mgx_run: --replay-threads needs a "
-                             "positive number, got '%s'\n",
-                             v);
-                return usage(stderr);
-            }
+            threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
         } else if (arg == "--json") {
             json_path = value();
         } else if (arg == "--trace-cache") {
@@ -217,8 +187,6 @@ main(int argc, char **argv)
                              v);
                 return usage(stderr);
             }
-        } else if (arg == "--materialize") {
-            materialize = true;
         } else if (arg == "--pipeline") {
             pipeline = 1;
         } else if (arg == "--no-pipeline") {
@@ -243,24 +211,8 @@ main(int argc, char **argv)
         return usage(stderr);
     }
 
-    if (pipeline == 1 && materialize) {
-        std::fprintf(stderr, "mgx_run: --pipeline needs the streaming "
-                             "path (drop --materialize)\n");
-        return usage(stderr);
-    }
-
-    if (replay_threads > 1 && materialize) {
-        std::fprintf(stderr,
-                     "mgx_run: --replay-threads needs the streaming "
-                     "path (drop --materialize)\n");
-        return usage(stderr);
-    }
-
     sim::Experiment experiment;
-    experiment.workloads(workloads)
-        .threads(threads)
-        .replayThreads(replay_threads)
-        .streaming(!materialize);
+    experiment.workloads(workloads).threads(threads);
     if (pipeline != -1)
         experiment.pipelined(pipeline == 1);
     if (!platforms.empty())
@@ -302,12 +254,13 @@ main(int argc, char **argv)
 
     if (!json_path.empty()) {
         std::ofstream out(json_path);
-        if (!out) {
+        sim::writeJson(rs, out);
+        // Flush before checking: a full disk only fails the write-out.
+        if (!out.flush()) {
             std::fprintf(stderr, "mgx_run: cannot write '%s'\n",
                          json_path.c_str());
             return 1;
         }
-        sim::writeJson(rs, out);
         if (!quiet)
             std::printf("\nwrote %zu records to %s\n",
                         rs.records().size(), json_path.c_str());

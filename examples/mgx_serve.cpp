@@ -51,10 +51,6 @@ usage(std::FILE *out)
         "  --result-memo N        finished cells memoized in memory\n"
         "                         (LRU; warm repeats skip the engine;\n"
         "                         default 64, 0 disables)\n"
-        "  --max-request-threads N\n"
-        "                         thread cap per cell for requests\n"
-        "                         asking pipeline=1/replayThreads=N\n"
-        "                         (default 1 = always serial)\n"
         "  --no-keep-alive        one request per connection even when\n"
         "                         the peer asks for keep-alive\n"
         "  --keep-alive-idle-ms N close a kept-alive connection after\n"
@@ -108,9 +104,6 @@ main(int argc, char **argv)
         } else if (arg == "--result-memo") {
             opts.resultMemoCapacity =
                 std::strtoul(value(), nullptr, 10);
-        } else if (arg == "--max-request-threads") {
-            opts.maxRequestThreads =
-                static_cast<u32>(std::strtoul(value(), nullptr, 10));
         } else if (arg == "--no-keep-alive") {
             opts.keepAlive = false;
         } else if (arg == "--keep-alive-idle-ms") {

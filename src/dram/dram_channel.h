@@ -16,12 +16,6 @@
  * same-open-row same-direction bursts take a short fast path that
  * skips the activate/precharge state machine — all
  * cycle-bitwise-identical to the general path.
- *
- * A channel is entirely self-contained: banks, bus, activate windows,
- * refresh phase, and counters are all channel-local, so distinct
- * channels may be driven from distinct threads concurrently (the
- * channel-sharded replay in sim/shard.h does exactly that). One
- * channel must only ever be driven from one thread at a time.
  */
 
 #ifndef MGX_DRAM_DRAM_CHANNEL_H
@@ -36,8 +30,8 @@ namespace mgx::dram {
 
 /**
  * Channel-local event counters. Plain integers rather than StatGroup
- * handles so concurrent shard workers never touch shared slots;
- * DramSystem sums them into its named "dram" StatGroup on demand.
+ * handles; DramSystem sums them into its named "dram" StatGroup on
+ * demand.
  */
 struct ChannelCounters
 {
@@ -47,8 +41,6 @@ struct ChannelCounters
     u64 reads = 0;
     u64 writes = 0;
     u64 refreshStallCycles = 0;
-
-    u64 requests() const { return reads + writes; }
 };
 
 /** Per-bank row-buffer and availability state. */

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include <arpa/inet.h>
@@ -175,9 +174,8 @@ Server::start()
         return;
 
     if (!runner_) {
-        runner_ = [this](const CellKey &cell,
-                         const RunBudget &budget) {
-            return runCellWithEngine(cell, budget);
+        runner_ = [this](const CellKey &cell) {
+            return runCellWithEngine(cell);
         };
     }
 
@@ -287,10 +285,7 @@ Server::metricsSnapshot() const
 void
 Server::setCellRunnerForTest(CellRunner runner)
 {
-    runner_ = [runner = std::move(runner)](const CellKey &cell,
-                                           const RunBudget &) {
-        return runner(cell);
-    };
+    runner_ = std::move(runner);
 }
 
 void
@@ -616,31 +611,6 @@ Server::handleRun(const HttpRequest &req, int *status_out)
     if (schemes.empty())
         schemes = sim::allSchemes();
 
-    // Per-request replay budget: how each cell executes, never what
-    // it answers (diagnostics are scrubbed; see runCellWithEngine).
-    // The effective thread cost is clamped under maxRequestThreads by
-    // the Experiment budget machinery, so an oversized ask degrades
-    // to whatever the operator allowed instead of failing.
-    RunBudget budget;
-    if (auto p = req.queryValue("pipeline")) {
-        if (*p == "1")
-            budget.pipelined = true;
-        else if (*p != "0") {
-            *status_out = 400;
-            return jsonError("pipeline= must be 0 or 1");
-        }
-    }
-    if (auto r = req.queryValue("replayThreads")) {
-        char *end = nullptr;
-        const unsigned long n = std::strtoul(r->c_str(), &end, 10);
-        if (r->empty() || end == nullptr || *end != '\0' || n == 0) {
-            *status_out = 400;
-            return jsonError(
-                "replayThreads= must be a positive integer");
-        }
-        budget.replayThreads = static_cast<u32>(n);
-    }
-
     // One wall-clock budget for the whole request, not per cell: the
     // client asked one question, so the question has one deadline.
     const bool deadlined = opts_.requestDeadlineMs > 0;
@@ -662,8 +632,6 @@ Server::handleRun(const HttpRequest &req, int *status_out)
                 CellKey cell{w, platform, scheme};
                 // Warm repeat: the memo'd record is bitwise what a
                 // re-run would produce, so skip the engine entirely.
-                // The memo key is budget-free — results don't depend
-                // on the replay mode.
                 if (auto memo = memo_.get(cell.key())) {
                     metrics_.resultMemoHits.fetch_add(
                         1, std::memory_order_relaxed);
@@ -672,11 +640,10 @@ Server::handleRun(const HttpRequest &req, int *status_out)
                 }
                 // The cell (not &: runFor's leader lambda outlives
                 // this frame when the deadline expires first).
-                const auto body = [this, cell,
-                                   budget]() -> CellOutcome {
+                const auto body = [this, cell]() -> CellOutcome {
                     metrics_.cellsRun.fetch_add(
                         1, std::memory_order_relaxed);
-                    return runner_(cell, budget);
+                    return runner_(cell);
                 };
                 SingleFlight<CellOutcome>::Outcome outcome;
                 if (deadlined) {
@@ -772,23 +739,16 @@ Server::noteCacheHealth(bool degraded)
 }
 
 CellOutcome
-Server::runCellWithEngine(const CellKey &cell, const RunBudget &budget)
+Server::runCellWithEngine(const CellKey &cell)
 {
-    // One cell per run. The request's replay budget selects the
-    // execution mode under the operator's thread cap — the Experiment
-    // budget machinery clamps an oversized ask rather than
-    // oversubscribing. Model outputs are bitwise-identical across
-    // modes (see sim/shard.h), and the scheduling-dependent
-    // pipeline/shard diagnostics are scrubbed below, so the response
-    // body stays byte-identical to `mgx_run --no-pipeline --json`
-    // whatever the client asked for.
+    // One cell per run, on one thread: a one-thread budget never
+    // pipelines, so the response body stays byte-identical to
+    // `mgx_run --no-pipeline --json`.
     sim::Experiment experiment;
     experiment.workload(cell.workload)
         .platform(cell.platform)
         .schemes({cell.scheme})
-        .threads(std::max(1u, opts_.maxRequestThreads))
-        .pipelined(budget.pipelined)
-        .replayThreads(budget.replayThreads);
+        .threads(1);
     const bool with_cache = cacheUsableNow();
     if (with_cache) {
         experiment.traceCacheDir(opts_.traceCacheDir);
@@ -805,16 +765,11 @@ Server::runCellWithEngine(const CellKey &cell, const RunBudget &budget)
         noteCacheHealth(rs.cacheDegraded());
     CellOutcome out{rs.records()[0], rs.traceCacheHits(),
                     rs.traceCacheMisses()};
-    // Scrub the replay-mode diagnostics: they are the only fields
-    // that vary with the budget (or with scheduling), and removing
-    // them keeps responses — and the memo — byte-identical across
-    // modes.
+    // Scrub the scheduling-dependent pipeline diagnostics so
+    // responses — and the memo — never depend on how the cell ran.
     out.record.result.pipelineProducerWaits = 0;
     out.record.result.pipelineConsumerWaits = 0;
     out.record.result.pipelineMaxOccupancy = 0;
-    out.record.result.shardReplayThreads = 0;
-    out.record.result.shardMergeWaits = 0;
-    out.record.result.shardChannels.clear();
     return out;
 }
 

@@ -11,7 +11,6 @@
 
 #include "common/log.h"
 #include "pipeline.h"
-#include "shard.h"
 #include "trace_io.h"
 #include "workload_registry.h"
 
@@ -66,6 +65,15 @@ traceCacheFileName(const std::string &key)
     std::snprintf(hash, sizeof hash, "-v%u-%016llx", kTraceCacheVersion,
                   static_cast<unsigned long long>(h));
     return name + hash + ".trace";
+}
+
+/** Refresh a cache file's mtime on use, so mtime order is LRU order. */
+void
+touchCacheFile(const std::string &file)
+{
+    std::error_code ec;
+    std::filesystem::last_write_time(
+        file, std::filesystem::file_time_type::clock::now(), ec);
 }
 
 /**
@@ -321,13 +329,6 @@ Experiment::traceCacheMaxBytes(u64 bytes)
 }
 
 Experiment &
-Experiment::streaming(bool on)
-{
-    streaming_ = on;
-    return *this;
-}
-
-Experiment &
 Experiment::pipelined(bool on)
 {
     pipelined_ = on;
@@ -338,13 +339,6 @@ Experiment &
 Experiment::pipelineRingCapacity(std::size_t phases)
 {
     pipelineRingCapacity_ = phases;
-    return *this;
-}
-
-Experiment &
-Experiment::replayThreads(u32 n)
-{
-    replayThreads_ = n;
     return *this;
 }
 
@@ -440,7 +434,7 @@ Experiment::run() const
         const Entry *entry;
         Platform platform;
         protection::Scheme scheme;
-        std::size_t traceJob; ///< index into jobs / traces
+        std::size_t traceJob; ///< index into jobs
     };
 
     struct TraceJob
@@ -508,19 +502,9 @@ Experiment::run() const
             ? threads_
             : std::max(1u, std::thread::hardware_concurrency());
     const bool pipelined =
-        streaming_ && budget >= 2 &&
+        budget >= 2 &&
         (pipelined_.has_value() ? *pipelined_ : cells.size() == 1);
-    // Channel-sharded replay width per streamed cell (sim/shard.h),
-    // clamped so one cell's thread cost — the replay pool plus a
-    // producer when pipelined — never exceeds the budget. The cell
-    // pool shrinks by the same cost, keeping `threads` a true cap.
-    const u32 shardWidth =
-        streaming_ ? std::min(std::max(1u, replayThreads_),
-                              std::max(1u, pipelined ? budget - 1
-                                                     : budget))
-                   : 1u;
-    const u32 cellCost = (pipelined ? 1u : 0u) + shardWidth;
-    const u32 replayWorkers = std::max(1u, budget / cellCost);
+    const u32 replayWorkers = pipelined ? budget / 2 : budget;
 
     // A cache-missing trace consumed by exactly one pipelined cell
     // skips phase 1: the cell's producer thread tees phases into the
@@ -531,17 +515,15 @@ Experiment::run() const
             job.deferred =
                 job.explicitTrace == nullptr && job.cellCount == 1;
 
-    // Phase 1: make each distinct trace available once, in parallel.
-    // A fresh kernel per job keeps generation deterministic regardless
-    // of scheduling. With a trace-cache directory set, a key that was
-    // serialized by an earlier run (any process) is reused — its
-    // mtime is touched so LRU eviction sees the use — and a missing
-    // key is produced exactly once; distinct jobs write distinct
-    // files, so the parallel writers never collide. On the streaming
-    // path the kernel is serialized phase by phase (TraceFileWriteSink)
-    // and nothing is materialized; without a cache directory the
-    // streaming path needs no phase 1 at all — every cell streams its
-    // own fresh kernel.
+    // Phase 1: fill the trace cache once per distinct key, in
+    // parallel. A fresh kernel per job keeps generation deterministic
+    // regardless of scheduling. A key that was serialized by an
+    // earlier run (any process) is reused — its mtime is touched so
+    // LRU eviction sees the use — and a missing key is streamed into
+    // its file phase by phase (TraceFileWriteSink) exactly once;
+    // distinct jobs write distinct files, so the parallel writers
+    // never collide. Without a cache directory there is no phase 1 at
+    // all — every cell streams its own fresh kernel.
     // The cache directory is treated as unreliable: if it cannot be
     // created (or later misbehaves), the run degrades to streaming
     // kernels directly — results are exact either way, only reuse is
@@ -571,54 +553,26 @@ Experiment::run() const
                 traceCacheFileName(job.cacheKey))
             .string();
     };
-    std::vector<core::Trace> traces(jobs.size());
     std::atomic<u64> cache_hits{0};
     std::atomic<u64> cache_misses{0};
     std::atomic<u64> cache_quarantined{0};
     parallelFor(jobs.size(), budget, [&](std::size_t i) {
-        if (jobs[i].explicitTrace != nullptr)
+        if (cacheDir.empty() || jobs[i].explicitTrace != nullptr)
             return;
         if (jobs[i].deferred)
             return; // phase 2 fills the cache through the tee
-        if (cacheDir.empty()) {
-            if (!streaming_)
-                traces[i] = makeKernel(jobs[i].name, jobs[i].platform)
-                                ->generate();
-            return;
-        }
         const std::string file = cacheFilePath(jobs[i]);
         // Hit probe, shared by the fast path and the post-lock
-        // re-check. The cache is shared across processes, so a foreign
-        // evictor may delete the file at any instant: the materialized
-        // path opens first and only counts a hit when the open
-        // succeeded, the streaming path leaves the open to phase 2,
-        // which already falls back to the kernel. A file that opens
-        // but fails integrity verification is quarantined here so the
-        // miss path below regenerates it.
+        // re-check. It only checks that the file exists: the cache is
+        // shared across processes, so a foreign evictor may delete the
+        // file at any instant, and phase 2's open already falls back
+        // to the kernel. Integrity is verified during the replay
+        // itself (phase 2 quarantines a file that fails it).
         const auto tryHit = [&]() -> bool {
-            if (!streaming_) {
-                std::optional<core::Trace> trace;
-                try {
-                    trace = readTraceFileIfReadable(
-                        file, /*require_checksum=*/true);
-                } catch (const TraceIoError &) {
-                    quarantineTraceFile(file);
-                    cache_quarantined.fetch_add(
-                        1, std::memory_order_relaxed);
-                    return false;
-                }
-                if (!trace)
-                    return false;
-                traces[i] = std::move(*trace);
-            } else {
-                std::error_code ec;
-                if (!std::filesystem::exists(file, ec) || ec)
-                    return false;
-            }
             std::error_code ec;
-            std::filesystem::last_write_time(
-                file, std::filesystem::file_time_type::clock::now(),
-                ec); // touch-on-hit keeps mtime order = LRU order
+            if (!std::filesystem::exists(file, ec) || ec)
+                return false;
+            touchCacheFile(file);
             return true;
         };
         if (tryHit()) {
@@ -639,29 +593,19 @@ Experiment::run() const
                 cache_hits.fetch_add(1, std::memory_order_relaxed);
                 return;
             }
-            if (streaming_) {
-                auto kernel =
-                    makeKernel(jobs[i].name, jobs[i].platform);
-                TraceFileWriteSink sink(file);
-                kernel->stream()->drainTo(sink);
-                sink.finish();
-            } else {
-                traces[i] = makeKernel(jobs[i].name, jobs[i].platform)
-                                ->generate();
-                writeTraceFile(traces[i], file);
-            }
+            auto kernel = makeKernel(jobs[i].name, jobs[i].platform);
+            TraceFileWriteSink sink(file);
+            kernel->stream()->drainTo(sink);
+            sink.finish();
             cache_misses.fetch_add(1, std::memory_order_relaxed);
         } catch (const TraceIoError &) {
+            // The cells find no file in phase 2 and stream their own
+            // fresh kernel.
             cache_faults.fetch_add(1, std::memory_order_relaxed);
-            if (!streaming_ && traces[i].empty())
-                traces[i] = makeKernel(jobs[i].name, jobs[i].platform)
-                                ->generate();
-            // Streaming cells find no file in phase 2 and stream
-            // their own fresh kernel.
         }
     });
 
-    // Phase 2: simulate every cell on fresh per-cell state. Streamed
+    // Phase 2: simulate every cell on fresh per-cell state. Registry
     // cells pull phases from the cache file (when caching) or from
     // their own fresh kernel — deterministic either way, so the two
     // are bitwise-identical on every model output. Pipelined runs
@@ -675,81 +619,66 @@ Experiment::run() const
         // cached replay dies mid-stream on a corrupt file, the retry
         // from the kernel must not inherit half-replayed DRAM or
         // metadata state.
-        const auto simulateTrace =
-            [&](const core::Trace &trace) -> RunResult {
+        const auto simulate = [&](const auto &replay) -> RunResult {
             dram::DramSystem dram(cell.platform.dram);
             protection::ProtectionConfig cfg = config_;
             cfg.scheme = cell.scheme;
             protection::ProtectionEngine engine(cfg, &dram);
             PerfModel model(&engine, cell.platform.clockMhz);
-            return model.run(trace);
-        };
-        const auto simulateStream =
-            [&](core::PhaseSource &source,
-                core::PhaseSink *tee) -> RunResult {
-            dram::DramSystem dram(cell.platform.dram);
-            protection::ProtectionConfig cfg = config_;
-            cfg.scheme = cell.scheme;
-            protection::ProtectionEngine engine(cfg, &dram);
-            PerfModel model(&engine, cell.platform.clockMhz);
-            // The pool lives for the whole replay (all phases plus
-            // the final flush share its workers) and dies with the
-            // attempt's DramSystem: a retry on fresh state gets a
-            // fresh pool.
-            std::optional<ShardPool> shard;
-            if (shardWidth >= 2)
-                shard.emplace(dram, shardWidth);
-            if (!pipelined)
-                return shard ? model.run(source, *shard)
-                             : model.run(source);
-            PipelineOptions options;
-            options.ringCapacity = pipelineRingCapacity_;
-            options.tee = tee;
-            options.shard = shard ? &*shard : nullptr;
-            return runPipelined(model, source, options);
+            return replay(model);
         };
         if (job.explicitTrace != nullptr) {
-            results[i] = simulateTrace(*job.explicitTrace);
+            results[i] = simulate([&](PerfModel &model) {
+                return model.run(*job.explicitTrace);
+            });
             return;
         }
-        if (!streaming_) {
-            results[i] = simulateTrace(traces[cell.traceJob]);
-            return;
-        }
+        const auto simulateStream = [&](core::PhaseSource &source,
+                                         core::PhaseSink *tee) {
+            return simulate([&](PerfModel &model) {
+                if (!pipelined)
+                    return model.run(source);
+                PipelineOptions options;
+                options.ringCapacity = pipelineRingCapacity_;
+                options.tee = tee;
+                return runPipelined(model, source, options);
+            });
+        };
+        // Replay the cache file into results[i]; false when it is
+        // gone or fails verification. The checksum footer is only
+        // reached at the end of the replay, so a corrupt file is
+        // quarantined after the fact and the caller restarts the
+        // cell on fresh state.
+        const auto replayCached = [&](const std::string &file,
+                                      bool count_hit) -> bool {
+            auto source = FilePhaseSource::openIfReadable(
+                file, /*require_checksum=*/true);
+            if (!source)
+                return false;
+            try {
+                results[i] = simulateStream(*source, nullptr);
+            } catch (const TraceIoError &) {
+                quarantineTraceFile(file);
+                cache_quarantined.fetch_add(1,
+                                            std::memory_order_relaxed);
+                return false;
+            }
+            if (count_hit) {
+                touchCacheFile(file);
+                cache_hits.fetch_add(1, std::memory_order_relaxed);
+            }
+            return true;
+        };
         if (!cacheDir.empty()) {
             const std::string file = cacheFilePath(job);
             // The cache is shared across processes, so another run's
             // eviction may have deleted the file since phase 1
             // touched it; fall back to streaming the kernel directly
-            // (equal keys guarantee the identical phase stream). A
-            // file that opens but fails verification — the checksum
-            // footer is only reached at the end of the replay — is
-            // quarantined, and the cell restarts on fresh state from
-            // the kernel.
-            if (auto source = FilePhaseSource::openIfReadable(
-                    file, /*require_checksum=*/true)) {
-                try {
-                    RunResult r = simulateStream(*source, nullptr);
-                    if (job.deferred) {
-                        // Phase 1 never probed this key: account the
-                        // hit and refresh the mtime for LRU order.
-                        std::error_code ec;
-                        std::filesystem::last_write_time(
-                            file,
-                            std::filesystem::file_time_type::clock::
-                                now(),
-                            ec);
-                        cache_hits.fetch_add(
-                            1, std::memory_order_relaxed);
-                    }
-                    results[i] = r;
-                    return;
-                } catch (const TraceIoError &) {
-                    quarantineTraceFile(file);
-                    cache_quarantined.fetch_add(
-                        1, std::memory_order_relaxed);
-                }
-            }
+            // (equal keys guarantee the identical phase stream).
+            // Phase 1 never probed a deferred key, so its hit is
+            // accounted here.
+            if (replayCached(file, job.deferred))
+                return;
             if (job.deferred) {
                 // Single-cell cache miss: take the per-key
                 // cross-process lock (another process may be
@@ -761,44 +690,16 @@ Experiment::run() const
                 // the replay sharing its phase stream); lock failures
                 // degrade the cell to plain uncached streaming below.
                 try {
-                    auto lock = std::make_unique<TraceCacheLock>(file);
-                    if (auto raced = FilePhaseSource::openIfReadable(
-                            file, /*require_checksum=*/true)) {
-                        bool replayed = false;
-                        try {
-                            RunResult r =
-                                simulateStream(*raced, nullptr);
-                            std::error_code ec;
-                            std::filesystem::last_write_time(
-                                file,
-                                std::filesystem::file_time_type::
-                                    clock::now(),
-                                ec);
-                            cache_hits.fetch_add(
-                                1, std::memory_order_relaxed);
-                            results[i] = r;
-                            replayed = true;
-                        } catch (const TraceIoError &) {
-                            quarantineTraceFile(file);
-                            cache_quarantined.fetch_add(
-                                1, std::memory_order_relaxed);
-                        }
-                        if (replayed)
-                            return;
-                        // fall through: regenerate under the lock
-                    }
+                    TraceCacheLock lock(file);
+                    if (replayCached(file, /*count_hit=*/true))
+                        return;
                     auto kernel = makeKernel(job.name, job.platform);
                     auto source = kernel->stream();
                     GuardedCacheSink sink(file);
                     results[i] = simulateStream(*source, &sink);
-                    if (sink.finish())
-                        cache_misses.fetch_add(
-                            1, std::memory_order_relaxed);
-                    else
-                        cache_faults.fetch_add(
-                            1, std::memory_order_relaxed);
-                    lock.reset(); // published; waiters can hit now
-                    return;
+                    (sink.finish() ? cache_misses : cache_faults)
+                        .fetch_add(1, std::memory_order_relaxed);
+                    return; // the lock releases: waiters can hit now
                 } catch (const TraceIoError &) {
                     cache_faults.fetch_add(1,
                                            std::memory_order_relaxed);

@@ -15,18 +15,13 @@
  * Each grid cell simulates on a fresh DramSystem/ProtectionEngine, so
  * cells are independent and run embarrassingly parallel.
  *
- * Registry workloads run through the streaming phase pipeline by
- * default: each cell pulls phases straight off a fresh kernel (or off
+ * Registry workloads run through the streaming phase pipeline: each
+ * cell pulls phases straight off a fresh kernel (or off
  * the on-disk trace cache, which phase 1 populates by streaming the
  * kernel once per traceCacheKey() without materializing), so memory
  * stays bounded by one phase regardless of workload size —
- * RunResult::peakPhaseBytes reports the high-water mark. streaming
- * (false) restores the materialize-then-replay path: each distinct
- * trace is generated once and shared read-only by every cell that
- * consumes it. Both paths are bitwise-identical on every model output
- * (cycles, traffic, access counts); only the trace-footprint fields
- * (traceBytes, peakPhaseBytes) depend on the path, since they
- * describe the replay's memory behaviour itself. Results are
+ * RunResult::peakPhaseBytes reports the high-water mark. Explicit
+ * traces added with trace() replay from memory. Results are
  * deterministic and independent of the thread count.
  */
 
@@ -222,14 +217,6 @@ class Experiment
     Experiment &traceCacheMaxBytes(u64 bytes);
 
     /**
-     * Select the replay path for registry workloads: true (default)
-     * streams phases straight off the kernel / cache file; false
-     * materializes each distinct trace first and shares it across
-     * cells. Model outputs are identical either way.
-     */
-    Experiment &streaming(bool on);
-
-    /**
      * Pipeline each streamed cell's trace generation and replay onto
      * two threads over a bounded SPSC phase ring (see sim/pipeline.h)
      * — bitwise-identical results, but a long single cell is no
@@ -241,8 +228,8 @@ class Experiment
      * The thread budget stays a true cap either way: a pipelined cell
      * costs two threads (producer + replay), so the pool runs at most
      * floor(threads / 2) cells at once, and pipelining is disabled
-     * when the budget is a single thread. Requires streaming();
-     * materialized and explicit-trace cells always replay serially.
+     * when the budget is a single thread. Explicit-trace cells
+     * always replay serially.
      *
      * On a trace-cache miss whose trace only one cell consumes, the
      * producer tees phases into the cache file while the replay
@@ -257,22 +244,6 @@ class Experiment
      * runs ahead of replay.
      */
     Experiment &pipelineRingCapacity(std::size_t phases);
-
-    /**
-     * Channel-sharded replay width per streamed cell (see
-     * sim/shard.h): n >= 2 replays each phase's per-channel DRAM
-     * lanes on a persistent pool of n threads (clamped to the
-     * platform's channel count) with a deterministic merge pass —
-     * bitwise-identical to serial replay on every field except the
-     * RunResult::shard* diagnostics, for every n. 0 or 1 (default)
-     * replays serially. Composes with pipelined(): such a cell
-     * budgets 1 + n threads against threads(), and the pool size
-     * shrinks so the cap stays true; a budget too small for the
-     * requested width clamps the width rather than oversubscribing.
-     * Requires streaming(); materialized and explicit-trace cells
-     * always replay serially.
-     */
-    Experiment &replayThreads(u32 n);
 
     /** Expand the grid, simulate every cell, return the results. */
     ResultSet run() const;
@@ -292,10 +263,8 @@ class Experiment
     u32 threads_ = 0;
     std::string traceCacheDir_;
     u64 traceCacheMaxBytes_ = 0;
-    bool streaming_ = true;
     std::optional<bool> pipelined_; ///< unset = automatic (see pipelined())
     std::size_t pipelineRingCapacity_ = 8;
-    u32 replayThreads_ = 1;
 };
 
 /**

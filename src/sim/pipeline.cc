@@ -30,9 +30,7 @@ runPipelined(PerfModel &model, core::PhaseSource &source,
     RunResult result;
     try {
         core::PhaseRingSource ringSource(ring);
-        result = options.shard != nullptr
-                     ? model.run(ringSource, *options.shard)
-                     : model.run(ringSource);
+        result = model.run(ringSource);
     } catch (...) {
         // Replay failed (or the producer's exception resurfaced from
         // pop()): release and join the producer before rethrowing so

@@ -27,8 +27,6 @@
 
 namespace mgx::sim {
 
-class ShardPool; // sim/shard.h
-
 /** Knobs for one pipelined replay. */
 struct PipelineOptions
 {
@@ -46,16 +44,6 @@ struct PipelineOptions
      * caller must not touch the tee until runPipelined() returns.
      */
     core::PhaseSink *tee = nullptr;
-
-    /**
-     * Optional channel-shard pool (see sim/shard.h): the consumer
-     * side replays each phase's DRAM lanes across the pool instead of
-     * inline, composing the producer/consumer split with channel
-     * sharding — still bitwise-identical on every deterministic
-     * field. The pool must outlive the call and drive the model's
-     * DramSystem.
-     */
-    ShardPool *shard = nullptr;
 };
 
 /**

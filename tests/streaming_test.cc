@@ -130,26 +130,6 @@ TEST(Streaming, StreamedReplayMatchesMaterializedAllDomains)
     }
 }
 
-TEST(Streaming, ExperimentStreamedAndMaterializedGridsMatch)
-{
-    const std::string w = "core/matmul?m=256&n=256&k=256";
-    auto grid = [&](bool streaming) {
-        return Experiment()
-            .workload(w)
-            .platform(edgePlatform())
-            .schemes(allSchemes())
-            .streaming(streaming)
-            .run();
-    };
-    ResultSet streamed = grid(true);
-    ResultSet materialized = grid(false);
-    ASSERT_EQ(streamed.records().size(), materialized.records().size());
-    for (std::size_t i = 0; i < streamed.records().size(); ++i)
-        expectModelOutputsEqual(streamed.records()[i].result,
-                                materialized.records()[i].result,
-                                "grid cell " + std::to_string(i));
-}
-
 // ---------------------------------------------------------------------
 // Chunk-boundary property
 // ---------------------------------------------------------------------
