@@ -145,16 +145,18 @@ class Registry
     }
 
     std::mutex mu_;
-    // Points are heap-owned and never destroyed while the process
-    // lives; &*value stays stable across rehashes.
+    // Points are heap-owned, so &*value stays stable as the map grows;
+    // they are destroyed with the registry at process exit.
     std::map<std::string, std::unique_ptr<Point>> points_;
     std::map<std::string, std::string> pending_;
 };
 
 Point::Point(std::string name)
-    : state_(new State), name_(std::move(name))
+    : state_(std::make_unique<State>()), name_(std::move(name))
 {
 }
+
+Point::~Point() = default;
 
 Point &
 Point::get(std::string_view name)

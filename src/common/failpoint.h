@@ -36,6 +36,7 @@
  */
 #pragma once
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,8 +48,13 @@ namespace mgx::failpoint {
 class Point
 {
   public:
-    /** Register-or-fetch; the returned reference is stable forever. */
+    /**
+     * Register-or-fetch; the returned reference stays valid until the
+     * registry is destroyed at process exit.
+     */
     static Point &get(std::string_view name);
+
+    ~Point();
 
     /**
      * Evaluate the point: true when the armed spec says this site
@@ -72,7 +78,7 @@ class Point
 
     friend class Registry;
     struct State;
-    State *state_; // owned by the registry, lives forever
+    std::unique_ptr<State> state_;
     std::string name_;
 };
 

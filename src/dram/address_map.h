@@ -10,8 +10,10 @@
  *
  * Two decode paths exist: decode() splits an arbitrary address, and
  * LineWalker advances through consecutive blocks incrementally — one
- * add-and-mask per dimension with early exit, so a streaming range
- * never re-derives the whole coordinate from scratch.
+ * add-and-mask per dimension with early exit, so a streaming request
+ * sequence never re-derives the whole coordinate from scratch.
+ * Contiguous ranges decode once per channel and step row to row with
+ * nextRow().
  */
 
 #ifndef MGX_DRAM_ADDRESS_MAP_H
@@ -92,6 +94,28 @@ class AddressMap
 
     /** Size of one interleaved block (one column access). */
     u32 blockBytes() const { return blockBytes_; }
+
+    /** Blocks (columns) in one row of one bank. */
+    u32 blocksPerRow() const { return blocksPerRow_; }
+
+    /**
+     * Step @p c from the last column of its row to the first column of
+     * the channel's next row in address order: bank, then rank, then
+     * row carry. Every block a channel sees from one contiguous range
+     * is a run of consecutive columns until a row ends here.
+     */
+    void
+    nextRow(Coord &c) const
+    {
+        c.column = 0;
+        c.bank = (c.bank + 1) & (banks_ - 1);
+        if (c.bank != 0)
+            return;
+        c.rank = (c.rank + 1) & (ranks_ - 1);
+        if (c.rank != 0)
+            return;
+        c.row = (c.row + 1) & rowMask_;
+    }
 
   private:
     u32 blockBytes_;

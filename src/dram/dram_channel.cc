@@ -129,4 +129,45 @@ DramChannel::access(const Coord &coord, bool is_write, Cycles arrival)
     return burst_end;
 }
 
+Cycles
+DramChannel::accessRun(const Coord &coord, u32 n, bool is_write,
+                       Cycles arrival)
+{
+    // The first access opens the row and sets the bus direction, so
+    // every later one meets the fast path's row-hit/same-direction
+    // test; only its refresh-window test is left to check. Bank and
+    // bus times stay in locals and the counters are bumped once.
+    access(coord, is_write, arrival);
+    BankState &bank = banks_[coord.rank * cfg_.banksPerRank + coord.bank];
+    const Cycles cas = is_write ? cfg_.tCWL : cfg_.tCL;
+    Cycles ready = bank.readyAt;
+    Cycles bus = busFreeAt_;
+    u64 fast = 0;
+    for (u32 i = 1; i < n; ++i) {
+        const Cycles start = std::max(arrival, ready);
+        if (start < refreshWinStart_ + cfg_.tRFC ||
+            start - refreshWinStart_ >= cfg_.tREFI) {
+            // Refresh blackout or a new tREFI window: general path.
+            bank.readyAt = ready;
+            busFreeAt_ = bus;
+            access(coord, is_write, arrival);
+            ready = bank.readyAt;
+            bus = busFreeAt_;
+            continue;
+        }
+        bus = std::max(start + cas, bus) + cfg_.burstCycles();
+        ready = start + cfg_.tCCD;
+        if (is_write)
+            ready = std::max(ready, bus + cfg_.tWR);
+        ++fast;
+    }
+    bank.readyAt = ready;
+    busFreeAt_ = bus;
+    counters_.rowHits += fast;
+    (is_write ? counters_.writes : counters_.reads) += fast;
+    // Bursts complete in issue order, so the last one ends latest.
+    lastCompletion_ = std::max(lastCompletion_, bus);
+    return bus;
+}
+
 } // namespace mgx::dram

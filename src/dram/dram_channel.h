@@ -12,9 +12,10 @@
  * Hot-path notes: statistics bump plain channel-local integers (no
  * per-access map lookups; DramSystem aggregates them into its
  * StatGroup on read), the refresh phase is derived from a cached
- * tREFI window (no per-access division in steady state), and
+ * tREFI window (no per-access division in steady state),
  * same-open-row same-direction bursts take a short fast path that
- * skips the activate/precharge state machine — all
+ * skips the activate/precharge state machine, and accessRun() loops
+ * that fast path over a whole open-row run — all
  * cycle-bitwise-identical to the general path.
  */
 
@@ -67,6 +68,18 @@ class DramChannel
      * @return cycle at which the data burst completes
      */
     Cycles access(const Coord &coord, bool is_write, Cycles arrival);
+
+    /**
+     * Serve @p n (>= 1) column accesses to consecutive columns of the
+     * row at @p coord, all arriving at @p arrival. Exactly equivalent
+     * to @p n calls to access() — same return value, counters and
+     * channel state — but after the first access (which opens the
+     * row and sets the bus direction) the rest run the same-open-row
+     * fast path with bank and bus state kept in registers.
+     * @return cycle at which the last data burst completes
+     */
+    Cycles accessRun(const Coord &coord, u32 n, bool is_write,
+                     Cycles arrival);
 
     /** Completion time of the latest burst seen so far. */
     Cycles lastCompletion() const { return lastCompletion_; }

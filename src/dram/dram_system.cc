@@ -33,14 +33,35 @@ DramSystem::accessRange(Addr addr, u64 bytes, bool is_write, Cycles arrival)
     const Addr first = alignDown(addr, block);
     const u64 blocks =
         (alignDown(addr + bytes - 1, block) - first) / block + 1;
-    AddressMap::LineWalker walker = map_.walkerAt(first);
     accessCount_ += blocks;
+    if (blocks == 1) {
+        const Coord coord = map_.decode(first);
+        return channels_[coord.channel]->access(coord, is_write, arrival);
+    }
+
+    // Lane j holds blocks j, j+C, j+2C, ... (C channels): all on one
+    // channel, at consecutive columns until a row ends. Channels share
+    // no timing state, so serving lane by lane keeps every channel's
+    // command order — and so every cycle and counter — of serving the
+    // blocks in address order; each lane's row runs then go through
+    // accessRun.
+    const u64 channels = cfg_.channels;
+    const u64 lanes = std::min<u64>(blocks, channels);
     Cycles done = arrival;
-    for (u64 i = 0; i < blocks; ++i, walker.next()) {
-        const Coord &coord = walker.coord();
-        Cycles c =
-            channels_[coord.channel]->access(coord, is_write, arrival);
-        done = std::max(done, c);
+    for (u64 j = 0; j < lanes; ++j) {
+        Coord coord = map_.decode(first + j * block);
+        DramChannel &channel = *channels_[coord.channel];
+        u64 left = (blocks - j + channels - 1) / channels;
+        while (true) {
+            const u32 n = static_cast<u32>(std::min<u64>(
+                left, map_.blocksPerRow() - coord.column));
+            done = std::max(done,
+                            channel.accessRun(coord, n, is_write, arrival));
+            left -= n;
+            if (left == 0)
+                break;
+            map_.nextRow(coord);
+        }
     }
     return done;
 }

@@ -2,9 +2,10 @@
  * @file
  * Multi-channel DRAM system: the Ramulator stand-in. Decodes addresses,
  * routes each 64-byte access to its channel, and reports completion
- * times and aggregate statistics. Contiguous ranges decode
- * incrementally through AddressMap::LineWalker instead of re-deriving
- * every line's coordinates.
+ * times and aggregate statistics. Contiguous ranges are served as
+ * per-channel open-row runs (DramChannel::accessRun) instead of one
+ * channel call per block; request batches decode incrementally through
+ * AddressMap::LineWalker.
  */
 
 #ifndef MGX_DRAM_DRAM_SYSTEM_H
@@ -49,7 +50,9 @@ class DramSystem
 
     /**
      * Serve a contiguous @p bytes-long transfer starting at @p addr as a
-     * run of block accesses all arriving at @p arrival.
+     * run of block accesses all arriving at @p arrival. Times every
+     * cycle and counter exactly like access() per block in address
+     * order, channel lane by channel lane.
      * @return completion cycle of the last burst.
      */
     Cycles accessRange(Addr addr, u64 bytes, bool is_write, Cycles arrival);

@@ -123,31 +123,19 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
     metaReqs_.clear();
     macReqs_.clear();
 
-    // Data blocks stream in address order; when the protection block
-    // matches the DRAM block the coordinates decode incrementally.
-    const bool walk_data = gran == dram_->blockBytes();
-    dram::AddressMap::LineWalker data_walker =
-        walk_data ? dram_->map().walkerAt(begin)
-                  : dram::AddressMap::LineWalker{};
-    // Metadata addresses stream incrementally too: one VN line covers
+    // The data blocks go first, as one contiguous transfer. Issuing
+    // them ahead of the metadata loop keeps the per-block request
+    // order: the metadata cache's state never depends on DRAM timing,
+    // and its requests are deferred to the batches after the loop.
+    Cycles done = dram_->accessRange(begin, end - begin, is_write, arrival);
+
+    // Metadata addresses stream incrementally: one VN line covers
     // kLine/vnBytes consecutive blocks, one level-1 node treeArity VN
     // lines, one MAC line kLine/macBytes blocks.
     MetadataLayout::BaselineWalker meta = layout_.baselineWalker(begin);
 
     const u32 levels = layout_.treeLevels();
-    Cycles done = arrival;
     for (Addr block = begin; block < end; block += gran, meta.next()) {
-        // Data block itself (streamed in address order).
-        if (walk_data) {
-            done = std::max(done,
-                            dram_->accessCoord(data_walker.coord(),
-                                               is_write, arrival));
-            data_walker.next();
-        } else {
-            done = std::max(done,
-                            dram_->access({block, is_write, arrival}));
-        }
-
         // VN line (write-allocate RMW on stores). The memoized line
         // from the previous block short-circuits the probe; touch()
         // is exactly the hit path, so a successful touch is the same

@@ -78,29 +78,196 @@ TEST(AddressMap, LineWalkerMatchesDecodePerLine)
     }
 }
 
-TEST(DramSystem, AccessRangeMatchesPerLineAccesses)
+/** Every aggregate DRAM statistic must agree between two systems. */
+void
+expectSameStats(const DramSystem &a, const DramSystem &b)
 {
-    // The walker-based range path must time and count exactly like
-    // issuing each 64 B request through the decode-per-line path.
-    Ddr4Config cfg = ddr4_2400(2);
-    DramSystem range_sys(cfg);
-    DramSystem line_sys(cfg);
-    const Addr base = 0x7ff40; // straddles rows, unaligned
-    const u64 bytes = 3 * cfg.rowBytes + 100;
+    for (const char *name : {"row_hits", "row_misses", "row_conflicts",
+                             "reads", "writes", "refresh_stall_cycles"})
+        EXPECT_EQ(a.stats().get(name), b.stats().get(name)) << name;
+    EXPECT_EQ(a.accessCount(), b.accessCount());
+    EXPECT_EQ(a.lastCompletion(), b.lastCompletion());
+}
 
-    const Cycles range_done = range_sys.accessRange(base, bytes, false, 5);
-    Cycles line_done = 5;
+/** One range served by accessRange and, on @p lines, block by block. */
+void
+expectRangeMatchesLines(DramSystem &range_sys, DramSystem &line_sys,
+                        Addr base, u64 bytes, bool is_write,
+                        Cycles arrival)
+{
+    const Cycles range_done =
+        range_sys.accessRange(base, bytes, is_write, arrival);
+    Cycles line_done = arrival;
     const Addr first = base & ~Addr{63};
     const Addr last = (base + bytes - 1) & ~Addr{63};
     for (Addr a = first; a <= last; a += 64)
-        line_done = std::max(line_done, line_sys.access({a, false, 5}));
+        line_done = std::max(line_done,
+                             line_sys.access({a, is_write, arrival}));
+    EXPECT_EQ(range_done, line_done)
+        << "base " << base << " bytes " << bytes;
+}
 
-    EXPECT_EQ(range_done, line_done);
-    EXPECT_EQ(range_sys.accessCount(), line_sys.accessCount());
-    EXPECT_EQ(range_sys.stats().get("row_hits"),
-              line_sys.stats().get("row_hits"));
-    EXPECT_EQ(range_sys.stats().get("row_misses"),
-              line_sys.stats().get("row_misses"));
+TEST(DramSystem, AccessRangeMatchesPerLineAccesses)
+{
+    // The lane/row-run range path must time and count exactly like
+    // issuing each 64 B request through the decode-per-line path —
+    // across column, bank, rank and row carries, for reads and
+    // writes, and with arrivals inside a refresh blackout. Ranges run
+    // back to back on the same systems, so each one also starts from
+    // the open rows, bus direction and refresh phase the last left.
+    for (u32 channels : {1u, 2u, 4u}) {
+        SCOPED_TRACE(channels);
+        Ddr4Config cfg = ddr4_2400(channels);
+        cfg.ranksPerChannel = 2;
+        DramSystem range_sys(cfg);
+        DramSystem line_sys(cfg);
+        const u64 row_span = u64{cfg.rowBytes} * channels; // one row/bank
+        const u64 rank_span = row_span * cfg.banksPerRank;
+        const u64 row_stride = rank_span * cfg.ranksPerChannel;
+        const Cycles blackout = 5 * Cycles{cfg.tREFI} + 7;
+        struct Range
+        {
+            Addr base;
+            u64 bytes;
+            bool write;
+            Cycles arrival;
+        };
+        const Range ranges[] = {
+            {0x7ff40, 3 * row_span + 100, false, 5}, // column -> bank
+            {rank_span - 2 * row_span - 40, 4 * row_span, true, 900},
+            {row_stride - row_span + 8, 2 * row_span, false, blackout},
+            {row_stride - 64 * 3, 64 * 7, true, blackout + 30},
+            {0x7ff40 + 64, 2 * row_span, true, 2 * blackout},
+            {row_stride + 4096, 64, false, 3 * blackout}, // one block
+            {3 * row_stride - 5 * row_span, 9 * row_span + 1, false,
+             4 * blackout - 200}, // crosses a tREFI boundary
+        };
+        for (const Range &r : ranges)
+            expectRangeMatchesLines(range_sys, line_sys, r.base, r.bytes,
+                                    r.write, r.arrival);
+        expectSameStats(range_sys, line_sys);
+        EXPECT_GT(range_sys.stats().get("refresh_stall_cycles"), 0u);
+        EXPECT_GT(range_sys.stats().get("row_conflicts"), 0u);
+    }
+}
+
+/**
+ * accessRun(n) must equal n access() calls on consecutive columns:
+ * the return value, lastCompletion(), every counter, and one probe
+ * access afterwards (a conflicting row in the same bank, opposite
+ * direction), which exposes any bank, bus or activate-window state
+ * the run left behind differently.
+ */
+void
+expectRunMatchesAccesses(const Ddr4Config &cfg,
+                         void (*prelude)(DramChannel &),
+                         const Coord &coord, u32 n, bool is_write,
+                         Cycles arrival)
+{
+    DramChannel run(cfg);
+    DramChannel ref(cfg);
+    if (prelude != nullptr) {
+        prelude(run);
+        prelude(ref);
+    }
+    const Cycles got = run.accessRun(coord, n, is_write, arrival);
+    Cycles want = 0;
+    for (u32 i = 0; i < n; ++i) {
+        Coord c = coord;
+        c.column += i;
+        want = ref.access(c, is_write, arrival);
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(run.lastCompletion(), ref.lastCompletion());
+    const ChannelCounters &a = run.counters();
+    const ChannelCounters &b = ref.counters();
+    EXPECT_EQ(a.rowHits, b.rowHits);
+    EXPECT_EQ(a.rowMisses, b.rowMisses);
+    EXPECT_EQ(a.rowConflicts, b.rowConflicts);
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.refreshStallCycles, b.refreshStallCycles);
+    Coord probe = coord;
+    probe.row += 1;
+    EXPECT_EQ(run.access(probe, !is_write, arrival),
+              ref.access(probe, !is_write, arrival));
+}
+
+constexpr Coord kRunCoord{0, 0, 3, 5, 0};
+
+TEST(DramChannel, AccessRunMatchesAccessesOnPrechargedBank)
+{
+    const Ddr4Config cfg = ddr4_2400(1);
+    expectRunMatchesAccesses(cfg, nullptr, kRunCoord, 64, false, 1000);
+    expectRunMatchesAccesses(cfg, nullptr, kRunCoord, 64, true, 1000);
+    expectRunMatchesAccesses(cfg, nullptr, kRunCoord, 1, false, 1000);
+}
+
+TEST(DramChannel, AccessRunMatchesAccessesInRefreshBlackout)
+{
+    const Ddr4Config cfg = ddr4_2400(1);
+    const Cycles in_blackout = 3 * Cycles{cfg.tREFI} + 5;
+    // Row already open: even the first access starts in the blackout.
+    auto open_row = [](DramChannel &ch) {
+        ch.access(kRunCoord, false, 0);
+    };
+    for (bool write : {false, true}) {
+        expectRunMatchesAccesses(cfg, open_row, kRunCoord, 48, write,
+                                 in_blackout);
+        expectRunMatchesAccesses(cfg, nullptr, kRunCoord, 48, write,
+                                 in_blackout);
+    }
+    DramChannel ch(cfg);
+    ch.accessRun(kRunCoord, 8, false, in_blackout);
+    EXPECT_GT(ch.counters().refreshStallCycles, 0u);
+}
+
+TEST(DramChannel, AccessRunMatchesAccessesAcrossRefreshBoundary)
+{
+    // 128 bursts take several hundred cycles, so a run that starts 50
+    // cycles before a tREFI boundary leaves its refresh window and
+    // stalls partway through.
+    const Ddr4Config cfg = ddr4_2400(1);
+    const Cycles near_boundary = 2 * Cycles{cfg.tREFI} - 50;
+    for (bool write : {false, true})
+        expectRunMatchesAccesses(cfg, nullptr, kRunCoord, 128, write,
+                                 near_boundary);
+    DramChannel ch(cfg);
+    ch.access(kRunCoord, false, near_boundary);
+    const u64 before = ch.counters().refreshStallCycles;
+    ch.accessRun(kRunCoord, 127, false, near_boundary);
+    EXPECT_GT(ch.counters().refreshStallCycles, before);
+}
+
+TEST(DramChannel, AccessRunMatchesAccessesAfterBusSwitch)
+{
+    const Ddr4Config cfg = ddr4_2400(1);
+    // The open row's last burst went the other way: the run's first
+    // access pays the turnaround, the rest must not.
+    auto write_first = [](DramChannel &ch) {
+        ch.access(kRunCoord, true, 0);
+    };
+    auto read_first = [](DramChannel &ch) {
+        ch.access(kRunCoord, false, 0);
+    };
+    expectRunMatchesAccesses(cfg, write_first, kRunCoord, 40, false, 10);
+    expectRunMatchesAccesses(cfg, read_first, kRunCoord, 40, true, 10);
+}
+
+TEST(DramChannel, AccessRunMatchesAccessesOnConflictingBank)
+{
+    const Ddr4Config cfg = ddr4_2400(1);
+    // Another row is open in the run's bank, plus activity on other
+    // banks to fill the activate windows.
+    auto conflict = [](DramChannel &ch) {
+        Coord other = kRunCoord;
+        other.row = 9;
+        ch.access(other, true, 0);
+        for (u32 b = 0; b < 4; ++b)
+            ch.access({0, 0, b + 8, 2, 0}, false, 20);
+    };
+    for (bool write : {false, true})
+        expectRunMatchesAccesses(cfg, conflict, kRunCoord, 96, write, 30);
 }
 
 TEST(DramChannel, RowHitIsFasterThanMiss)

@@ -11,7 +11,9 @@
  *    consistent VNs round-trips, and any stale VN fails;
  *  - the metadata cache behaves identically to a reference
  *    fully-associative-per-set model;
- *  - DRAM completion times are monotone in arrival time.
+ *  - DRAM completion times are monotone in arrival time, and serving
+ *    a contiguous range as per-channel row runs is indistinguishable
+ *    from serving it block by block.
  */
 
 #include <gtest/gtest.h>
@@ -226,6 +228,51 @@ TEST(DramProperty, ThroughputNeverExceedsPeak)
         const double min_cycles =
             static_cast<double>(bytes) / cfg.peakBytesPerCycle();
         EXPECT_GE(static_cast<double>(done), min_cycles * 0.999);
+    }
+}
+
+TEST(DramProperty, RangeRunsMatchLineByLine)
+{
+    // Two systems see the same random mix of contiguous ranges and
+    // single accesses; one serves each range with accessRange, the
+    // other one block at a time. Addresses stay within a few row
+    // strides, so rows conflict and reopen; arrivals jump around,
+    // often landing in refresh blackouts.
+    for (u64 seed : {21u, 22u, 23u, 24u}) {
+        Rng rng(seed);
+        dram::Ddr4Config cfg = dram::ddr4_2400(1u << rng.below(3));
+        cfg.ranksPerChannel = rng.chance(0.5) ? 2 : 1;
+        dram::DramSystem range_sys(cfg);
+        dram::DramSystem line_sys(cfg);
+        const u64 row_stride = u64{cfg.rowBytes} * cfg.channels *
+                               cfg.banksPerRank * cfg.ranksPerChannel;
+        Cycles now = 0;
+        for (int op = 0; op < 400; ++op) {
+            SCOPED_TRACE(testing::Message() << "seed " << seed << " op "
+                                            << op);
+            now += rng.below(3000);
+            const Addr addr = rng.below(4 * row_stride);
+            const bool write = rng.chance(0.4);
+            if (rng.chance(0.3)) {
+                const dram::Request req{addr, write, now};
+                ASSERT_EQ(range_sys.access(req), line_sys.access(req));
+                continue;
+            }
+            const u64 bytes = 1 + rng.below(3 * cfg.rowBytes * cfg.channels);
+            const Cycles got = range_sys.accessRange(addr, bytes, write, now);
+            Cycles want = now;
+            for (Addr a = addr & ~Addr{63}; a < addr + bytes; a += 64)
+                want = std::max(want, line_sys.access({a, write, now}));
+            ASSERT_EQ(got, want);
+        }
+        for (const char *name :
+             {"row_hits", "row_misses", "row_conflicts", "reads", "writes",
+              "refresh_stall_cycles"})
+            EXPECT_EQ(range_sys.stats().get(name),
+                      line_sys.stats().get(name))
+                << name;
+        EXPECT_EQ(range_sys.accessCount(), line_sys.accessCount());
+        EXPECT_EQ(range_sys.lastCompletion(), line_sys.lastCompletion());
     }
 }
 
