@@ -59,7 +59,6 @@ usage(std::FILE *out)
         "  --probe-interval-ms N  /healthz cadence (default 200)\n"
         "  --hedge-ms N           hedge a slow /run to the next worker\n"
         "                         after N ms (default 0 = off)\n"
-        "  --no-keep-alive        one request per client connection\n"
         "  --quiet                no startup/shutdown chatter\n"
         "  --help                 this message\n");
     return out == stdout ? 0 : 2;
@@ -114,8 +113,6 @@ main(int argc, char **argv)
         } else if (arg == "--hedge-ms") {
             opts.proxy.hedgeMs =
                 static_cast<int>(std::strtol(value(), nullptr, 10));
-        } else if (arg == "--no-keep-alive") {
-            opts.proxy.keepAlive = false;
         } else if (arg == "--quiet" || arg == "-q") {
             quiet = true;
         } else {

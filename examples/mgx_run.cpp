@@ -71,38 +71,6 @@ usage(std::FILE *out)
     return out == stdout ? 0 : 2;
 }
 
-std::vector<std::string>
-splitCommas(const std::string &arg)
-{
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (start <= arg.size()) {
-        std::size_t pos = arg.find(',', start);
-        if (pos == std::string::npos)
-            pos = arg.size();
-        if (pos > start)
-            parts.push_back(arg.substr(start, pos - start));
-        start = pos + 1;
-    }
-    return parts;
-}
-
-bool
-platformByName(const std::string &name, sim::Platform &out)
-{
-    if (name == "cloud")
-        out = sim::cloudPlatform();
-    else if (name == "edge")
-        out = sim::edgePlatform();
-    else if (name == "graph")
-        out = sim::graphPlatform();
-    else if (name == "genome")
-        out = sim::genomePlatform();
-    else
-        return false;
-    return true;
-}
-
 } // namespace
 
 int
@@ -141,24 +109,24 @@ main(int argc, char **argv)
             return 0;
         }
         if (arg == "--workload" || arg == "-w") {
-            for (auto &w : splitCommas(value()))
+            for (auto &w : sim::splitCommas(value()))
                 workloads.push_back(w);
         } else if (arg == "--all") {
             for (auto &w : sim::listWorkloads())
                 workloads.push_back(w);
         } else if (arg == "--platforms" || arg == "--platform") {
-            for (auto &p : splitCommas(value())) {
-                sim::Platform platform;
-                if (!platformByName(p, platform)) {
+            for (auto &p : sim::splitCommas(value())) {
+                auto platform = sim::platformByName(p);
+                if (!platform) {
                     std::fprintf(stderr,
                                  "mgx_run: unknown platform '%s'\n",
                                  p.c_str());
                     return usage(stderr);
                 }
-                platforms.push_back(platform);
+                platforms.push_back(std::move(*platform));
             }
         } else if (arg == "--schemes" || arg == "--scheme") {
-            for (auto &s : splitCommas(value()))
+            for (auto &s : sim::splitCommas(value()))
                 schemes.push_back(sim::schemeByName(s));
         } else if (arg == "--threads") {
             // Digits only: strtoul alone would wrap "-1" to

@@ -51,8 +51,6 @@ usage(std::FILE *out)
         "  --result-memo N        finished cells memoized in memory\n"
         "                         (LRU; warm repeats skip the engine;\n"
         "                         default 64, 0 disables)\n"
-        "  --no-keep-alive        one request per connection even when\n"
-        "                         the peer asks for keep-alive\n"
         "  --keep-alive-idle-ms N close a kept-alive connection after\n"
         "                         N ms without a next request\n"
         "                         (default 2000)\n"
@@ -104,8 +102,6 @@ main(int argc, char **argv)
         } else if (arg == "--result-memo") {
             opts.resultMemoCapacity =
                 std::strtoul(value(), nullptr, 10);
-        } else if (arg == "--no-keep-alive") {
-            opts.keepAlive = false;
         } else if (arg == "--keep-alive-idle-ms") {
             opts.keepAliveIdleMs =
                 static_cast<int>(std::strtol(value(), nullptr, 10));

@@ -19,49 +19,49 @@
  * Endpoints: /run (routed), /stats (proxy counters + per-worker
  * supervision state + live worker stats), /healthz (ok while at
  * least one worker is in rotation), /shutdown (via callback).
+ *
+ * The listening socket, admission queue, worker threads and
+ * keep-alive loop are the same serve::HttpFrontEnd that mgx_serve
+ * uses; this class holds only routing, failover, hedging and the
+ * backend pool.
  */
 
 #ifndef MGX_FLEET_PROXY_H
 #define MGX_FLEET_PROXY_H
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "backend.h"
 #include "hash_ring.h"
 #include "serve/client.h"
+#include "serve/front_end.h"
 
 namespace mgx::fleet {
 
-struct ProxyOptions
+/** The front door's fields (listen, workers, ...) plus routing's. */
+struct ProxyOptions : serve::FrontEndOptions
 {
-    serve::SocketAddress listen;
-    u32 workers = 4;                    ///< proxy handler threads
-    std::size_t admissionCapacity = 32; ///< queued conns before 429
-    int ioTimeoutMs = 30000;      ///< client-side read/write timeout
+    ProxyOptions()
+    {
+        workers = 4;
+        admissionCapacity = 32;
+    }
+
     int backendTimeoutMs = 120000; ///< one backend attempt's budget
     int failoverPasses = 3;  ///< sweeps over the ring before 503
     int failoverPauseMs = 100; ///< pause between sweeps
     int hedgeMs = 0; ///< >0: hedge /run to the next worker when slow
-    bool keepAlive = true;     ///< honor client Connection: keep-alive
-    int keepAliveIdleMs = 2000;
     u32 ringVnodes = 64;
 };
 
-/** Relaxed counters mirrored into /stats (mgx-fleetstats-v1). */
+/** Routing counters mirrored into /stats (mgx-fleetstats-v1) next to
+ *  the front door's (serve::FrontDoorMetrics). */
 struct ProxyMetrics
 {
-    std::atomic<u64> accepted{0};
-    std::atomic<u64> rejected{0};
-    std::atomic<u64> served{0};
-    std::atomic<u64> failed{0};
-    std::atomic<u64> badRequests{0};
     std::atomic<u64> routed{0};       ///< /run requests routed
     std::atomic<u64> failovers{0};    ///< attempts beyond the first
     std::atomic<u64> backendErrors{0}; ///< failed backend attempts
@@ -69,7 +69,6 @@ struct ProxyMetrics
     std::atomic<u64> noBackend{0};    ///< 503: every attempt failed
     std::atomic<u64> hedgesLaunched{0};
     std::atomic<u64> hedgeWins{0};    ///< hedge finished first
-    std::atomic<u64> keepAliveReused{0};
     std::atomic<u64> backendReused{0}; ///< pooled backend conn reused
 };
 
@@ -83,12 +82,15 @@ class Proxy
     Proxy &operator=(const Proxy &) = delete;
 
     void start();
-    void requestShutdown();
+    void requestShutdown() { front_.requestShutdown(); }
     void shutdown();
-    bool stopping() const;
+    bool stopping() const { return front_.stopping(); }
 
-    u16 port() const { return boundPort_; }
-    std::string addressDescription() const;
+    u16 port() const { return front_.port(); }
+    std::string addressDescription() const
+    {
+        return front_.addressDescription();
+    }
 
     /** Invoked when a client GETs /shutdown (mgx_fleet hooks the
      *  whole-fleet drain here). */
@@ -98,6 +100,10 @@ class Proxy
     }
 
     const ProxyMetrics &metrics() const { return metrics_; }
+    const serve::FrontDoorMetrics &frontDoorMetrics() const
+    {
+        return front_.metrics();
+    }
     std::string statsJson() const;
 
     /** Routing key for a /run target (exposed for tests): the
@@ -113,13 +119,8 @@ class Proxy
         serve::GetFailure failure = serve::GetFailure::None;
     };
 
-    void acceptLoop();
-    void workerLoop();
-    void handleConnection(int fd);
-    bool serveOneRequest(int fd, std::string *carry, bool first);
     std::string handleRequest(const serve::HttpRequest &req,
-                              int *status_out,
-                              std::string *content_type);
+                              int *status_out);
     std::string handleRun(const serve::HttpRequest &req,
                           int *status_out);
 
@@ -140,25 +141,10 @@ class Proxy
     void checkinConnection(const std::string &name,
                            std::unique_ptr<serve::ClientConnection>);
 
-    void sendAll(int fd, const std::string &data) const;
-
     ProxyOptions opts_;
     BackendDirectory *directory_;
     HashRing ring_;
     ProxyMetrics metrics_;
-
-    int listenFd_ = -1;
-    u16 boundPort_ = 0;
-    bool started_ = false;
-    bool joined_ = false;
-
-    std::thread acceptor_;
-    std::vector<std::thread> workers_;
-
-    mutable std::mutex qmu_;
-    std::condition_variable qcv_;
-    std::deque<int> pending_;
-    bool draining_ = false;
 
     std::mutex poolmu_;
     /// name -> idle pooled connections (small, FDs are bounded by
@@ -173,6 +159,10 @@ class Proxy
     std::atomic<u64> bgOps_{0};
 
     std::function<void()> shutdownHook_;
+
+    /// Last member: its threads call handleRequest, so it is built
+    /// after, and joined (by shutdown()) before, everything above.
+    serve::HttpFrontEnd front_;
 };
 
 } // namespace mgx::fleet

@@ -5,30 +5,30 @@
 namespace mgx::serve {
 
 ServeMetrics::Snapshot
-ServeMetrics::snapshot() const
+ServeMetrics::snapshot(const FrontDoorMetrics &door, bool draining) const
 {
+    const auto L = [](const std::atomic<u64> &a) {
+        return a.load(std::memory_order_relaxed);
+    };
     Snapshot s;
-    s.accepted = accepted.load(std::memory_order_relaxed);
-    s.rejected = rejected.load(std::memory_order_relaxed);
-    s.served = served.load(std::memory_order_relaxed);
-    s.failed = failed.load(std::memory_order_relaxed);
-    s.badRequests = badRequests.load(std::memory_order_relaxed);
-    s.dedupCollapsed = dedupCollapsed.load(std::memory_order_relaxed);
-    s.cellsRun = cellsRun.load(std::memory_order_relaxed);
-    s.resultMemoHits = resultMemoHits.load(std::memory_order_relaxed);
-    s.traceCacheHits = traceCacheHits.load(std::memory_order_relaxed);
-    s.traceCacheMisses =
-        traceCacheMisses.load(std::memory_order_relaxed);
-    s.inFlight = inFlight.load(std::memory_order_relaxed);
-    s.queueDepth = queueDepth.load(std::memory_order_relaxed);
-    s.maxQueueDepth = maxQueueDepth.load(std::memory_order_relaxed);
-    s.deadlineExceeded =
-        deadlineExceeded.load(std::memory_order_relaxed);
-    s.oversized = oversized.load(std::memory_order_relaxed);
-    s.keepAliveReused =
-        keepAliveReused.load(std::memory_order_relaxed);
+    s.accepted = L(door.accepted);
+    s.rejected = L(door.rejected);
+    s.served = L(door.served);
+    s.failed = L(door.failed);
+    s.badRequests = L(door.badRequests);
+    s.dedupCollapsed = L(dedupCollapsed);
+    s.cellsRun = L(cellsRun);
+    s.resultMemoHits = L(resultMemoHits);
+    s.traceCacheHits = L(traceCacheHits);
+    s.traceCacheMisses = L(traceCacheMisses);
+    s.inFlight = L(door.inFlight);
+    s.queueDepth = L(door.queueDepth);
+    s.maxQueueDepth = L(door.maxQueueDepth);
+    s.deadlineExceeded = L(deadlineExceeded);
+    s.oversized = L(door.oversized);
+    s.keepAliveReused = L(door.keepAliveReused);
     s.cacheDegraded = cacheDegraded.load(std::memory_order_relaxed);
-    s.draining = draining.load(std::memory_order_relaxed);
+    s.draining = draining;
     return s;
 }
 

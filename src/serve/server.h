@@ -26,11 +26,12 @@
  *
  * Concurrency model — three layers:
  *
- *   admission   A bounded connection queue between one acceptor
- *               thread and N worker threads. When the queue is full
- *               the acceptor answers 429 immediately instead of
- *               letting latency grow unboundedly (explicit
- *               back-pressure; clients retry or go run mgx_run).
+ *   admission   The shared HttpFrontEnd (front_end.h): a bounded
+ *               connection queue between one acceptor thread and N
+ *               worker threads. When the queue is full the acceptor
+ *               answers 429 immediately instead of letting latency
+ *               grow unboundedly (explicit back-pressure; clients
+ *               retry or go run mgx_run).
  *   memo        A bounded in-memory LRU of finished cell results
  *               keyed like the singleflight: a warm repeat skips the
  *               engine entirely (metrics.resultMemoHits). Safe
@@ -48,8 +49,8 @@
  * byte-identical to `mgx_run --no-pipeline --json` for the same grid.
  *
  * Graceful shutdown: stop accepting, drain the queued and in-flight
- * requests, join every thread. Connections arriving while draining
- * get 503.
+ * requests, join every thread, then wait for cells orphaned by a
+ * request deadline. Connections arriving while draining get 503.
  */
 
 #ifndef MGX_SERVE_SERVER_H
@@ -57,41 +58,25 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <list>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "http.h"
+#include "front_end.h"
 #include "metrics.h"
 #include "singleflight.h"
 #include "sim/experiment.h"
 
 namespace mgx::serve {
 
-/** Where to listen / connect: unix path if set, else TCP loopback. */
-struct SocketAddress
+/** The front door's fields (listen, workers, ...) plus the cells'. */
+struct ServerOptions : FrontEndOptions
 {
-    std::string unixPath; ///< non-empty selects AF_UNIX
-    std::string host = "127.0.0.1";
-    u16 port = 0; ///< 0 = kernel-assigned (see Server::port())
-};
-
-struct ServerOptions
-{
-    SocketAddress listen;
-    u32 workers = 2;                  ///< request handler threads
-    std::size_t admissionCapacity = 16; ///< queued connections before 429
     std::string traceCacheDir;        ///< "" = no trace cache
     u64 traceCacheMaxBytes = 0;       ///< LRU cap (needs traceCacheDir)
-    int ioTimeoutMs = 30000;          ///< per-connection read/write timeout
     /// Wall-clock budget for one /run request, 0 = none. On expiry
     /// the request answers 503 immediately; the cell that was running
     /// finishes on a background thread (engine runs cannot be
@@ -100,14 +85,6 @@ struct ServerOptions
     /// How long to bypass the trace cache after a run reports it
     /// degraded before probing it again (see cacheDegraded()).
     int cacheRetryMs = 5000;
-    /// Honor `Connection: keep-alive` requests by keeping the
-    /// connection open for the next request (false restores the old
-    /// one-request-per-connection behavior for every peer).
-    bool keepAlive = true;
-    /// Close a kept-alive connection after this long with no next
-    /// request — bounds both idle FDs and how long a worker thread
-    /// can be parked on one peer.
-    int keepAliveIdleMs = 2000;
     /// Finished-cell results memoized in memory (LRU, keyed like the
     /// singleflight); 0 disables the memo.
     std::size_t resultMemoCapacity = 64;
@@ -185,19 +162,23 @@ class Server
     void start();
 
     /** The bound TCP port (after start(); meaningless for unix). */
-    u16 port() const { return boundPort_; }
+    u16 port() const { return front_.port(); }
 
     /** Human-readable bound address, e.g. "unix:/tmp/x.sock". */
-    std::string addressDescription() const;
+    std::string addressDescription() const
+    {
+        return front_.addressDescription();
+    }
 
     /** Stop admission and begin draining; returns immediately. */
-    void requestShutdown();
+    void requestShutdown() { front_.requestShutdown(); }
 
-    /** requestShutdown() + drain queued and in-flight + join threads.
-     *  Idempotent; also run by the destructor. */
+    /** requestShutdown() + drain queued and in-flight + join threads
+     *  + wait for deadline-orphaned cells. Idempotent; also run by
+     *  the destructor. */
     void shutdown();
 
-    bool stopping() const;
+    bool stopping() const { return front_.stopping(); }
 
     /** True while the trace cache is being bypassed after a fault. */
     bool cacheDegraded() const
@@ -217,21 +198,10 @@ class Server
     ResultMemo &resultMemo() { return memo_; }
 
   private:
-    void acceptLoop();
-    void workerLoop();
-    void handleConnection(int fd);
-    /// Serve one request off @p fd (seeded with @p carry bytes from
-    /// the previous request on this connection). Returns false when
-    /// the connection is done (peer closed, error, or the exchange
-    /// chose Connection: close); true means keep it open and @p carry
-    /// holds any bytes of the next request that already arrived.
-    /// @p first distinguishes a fresh connection from a reused one.
-    bool serveOneRequest(int fd, std::string *carry, bool first);
     std::string handleRequest(const HttpRequest &req, int *status_out);
     std::string handleRun(const HttpRequest &req, int *status_out);
     CellOutcome runCellWithEngine(const CellKey &cell);
     bool validateWorkload(const std::string &name, std::string *error);
-    void sendAll(int fd, const std::string &data) const;
     /// Fold one run's cache health into the degraded state: a
     /// degraded run opens (or extends) the bypass window with one
     /// warning log; a healthy run while degraded logs recovery.
@@ -247,19 +217,6 @@ class Server
     /// Engine-backed by default; replaced by setCellRunnerForTest.
     CellRunner runner_;
 
-    int listenFd_ = -1;
-    u16 boundPort_ = 0;
-    bool started_ = false;
-    bool joined_ = false;
-
-    std::thread acceptor_;
-    std::vector<std::thread> workers_;
-
-    mutable std::mutex qmu_;
-    std::condition_variable qcv_;
-    std::deque<int> pending_; ///< accepted fds awaiting a worker
-    bool draining_ = false;   ///< guarded by qmu_
-
     std::mutex validmu_;
     /// workload name -> registry error ("" = known-good); memoized so
     /// repeated requests skip kernel construction during validation.
@@ -270,6 +227,11 @@ class Server
     /// When degraded: the next moment a cell may probe the cache
     /// again (guarded by cachemu_).
     std::chrono::steady_clock::time_point cacheRetryAt_{};
+
+    /// Last member: constructed after everything handleRequest uses,
+    /// and its threads are joined (by shutdown()) before any of it
+    /// is destroyed.
+    HttpFrontEnd front_;
 };
 
 } // namespace mgx::serve

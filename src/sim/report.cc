@@ -50,15 +50,53 @@ jsonOptional(const std::optional<double> &v)
 
 } // namespace
 
-protection::Scheme
-schemeByName(const std::string &name)
+std::optional<protection::Scheme>
+trySchemeByName(const std::string &name)
 {
     for (protection::Scheme s : protection::kAllSchemes)
         if (name == protection::schemeName(s))
             return s;
+    return std::nullopt;
+}
+
+protection::Scheme
+schemeByName(const std::string &name)
+{
+    if (auto s = trySchemeByName(name))
+        return *s;
     fatal("unknown scheme '%s' (expected NP, MGX, MGX_VN, MGX_MAC "
           "or BP)",
           name.c_str());
+}
+
+std::optional<Platform>
+platformByName(const std::string &name)
+{
+    if (name == "cloud")
+        return cloudPlatform();
+    if (name == "edge")
+        return edgePlatform();
+    if (name == "graph")
+        return graphPlatform();
+    if (name == "genome")
+        return genomePlatform();
+    return std::nullopt;
+}
+
+std::vector<std::string>
+splitCommas(const std::string &arg)
+{
+    std::vector<std::string> parts;
+    std::size_t start = 0;
+    while (start <= arg.size()) {
+        std::size_t pos = arg.find(',', start);
+        if (pos == std::string::npos)
+            pos = arg.size();
+        if (pos > start)
+            parts.push_back(arg.substr(start, pos - start));
+        start = pos + 1;
+    }
+    return parts;
 }
 
 void

@@ -16,14 +16,29 @@
 
 #include <cstdio>
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "experiment.h"
 
 namespace mgx::sim {
 
+// The grid-cell vocabulary shared by `mgx_run` flags and the
+// service's /run query (`workload=`, `platforms=`, `schemes=`).
+
+/** Parse a scheme name ("NP", "MGX_VN", ...); nullopt on unknown. */
+std::optional<protection::Scheme>
+trySchemeByName(const std::string &name);
+
 /** Parse a scheme name ("NP", "MGX_VN", ...); fatal on unknown. */
 protection::Scheme schemeByName(const std::string &name);
+
+/** The platform named @p name: cloud, edge, graph or genome. */
+std::optional<Platform> platformByName(const std::string &name);
+
+/** Split a comma list ("NP,MGX"), dropping empty items. */
+std::vector<std::string> splitCommas(const std::string &arg);
 
 /**
  * Print @p rs as a fixed-width table, one row per grid cell:

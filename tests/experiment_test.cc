@@ -359,8 +359,11 @@ TEST(Report, JsonEscapesWorkloadNames)
 
 TEST(Report, SchemeByNameRoundTrips)
 {
-    for (Scheme s : protection::kAllSchemes)
+    for (Scheme s : protection::kAllSchemes) {
         EXPECT_EQ(schemeByName(protection::schemeName(s)), s);
+        EXPECT_EQ(trySchemeByName(protection::schemeName(s)), s);
+    }
+    EXPECT_EQ(trySchemeByName("XYZ"), std::nullopt);
 }
 
 TEST(ReportDeathTest, SchemeByNameRejectsUnknown)

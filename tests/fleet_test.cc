@@ -17,6 +17,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -25,7 +26,9 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "fleet/backend.h"
@@ -454,7 +457,57 @@ TEST(ProxyTest, KeepAliveClientsReuseTheFrontDoorConnection)
     EXPECT_FALSE(conn.lastReused());
     ASSERT_TRUE(conn.get("/healthz", &resp, &error)) << error;
     EXPECT_TRUE(conn.lastReused());
-    EXPECT_GE(proxy.metrics().keepAliveReused.load(), 1u);
+    EXPECT_GE(proxy.frontDoorMetrics().keepAliveReused.load(), 1u);
+    proxy.shutdown();
+}
+
+TEST(ProxyTest, SilentClientIsAnswered400AndTheWorkerFreed)
+{
+    MiniFleet mini(1, "silent");
+    ProxyOptions popts;
+    popts.listen.unixPath = testSocketPath("silent-proxy");
+    popts.workers = 1;
+    popts.ioTimeoutMs = 150; // SO_RCVTIMEO on the accepted socket
+    Proxy proxy(popts, &mini.dir);
+    proxy.start();
+    const serve::SocketAddress addr{popts.listen.unixPath,
+                                    "127.0.0.1", 0};
+
+    // A client that connects and then says nothing holds the only
+    // proxy worker until the receive timeout trips; it must then be
+    // told why it is being dropped, not silently closed on.
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un sa{};
+    sa.sun_family = AF_UNIX;
+    std::strncpy(sa.sun_path, popts.listen.unixPath.c_str(),
+                 sizeof sa.sun_path - 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&sa),
+                        sizeof sa),
+              0);
+    timeval tv{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    std::string answer;
+    char buf[512];
+    ssize_t n = 0;
+    while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0)
+        answer.append(buf, static_cast<std::size_t>(n));
+    ::close(fd);
+    EXPECT_EQ(answer.rfind("HTTP/1.1 400", 0), 0u) << answer;
+
+    // The worker is free again: a normal request succeeds, and the
+    // front door counted the silent peer as a bad request.
+    serve::HttpResponse resp;
+    std::string error;
+    ASSERT_TRUE(serve::httpGet(addr, "/healthz", &resp, &error))
+        << error;
+    EXPECT_EQ(resp.status, 200);
+    ASSERT_TRUE(serve::httpGet(addr, "/stats", &resp, &error))
+        << error;
+    const std::string key = "\"badRequests\": ";
+    const std::size_t at = resp.body.find(key);
+    ASSERT_NE(at, std::string::npos) << resp.body;
+    EXPECT_GE(std::stoull(resp.body.substr(at + key.size())), 1u);
     proxy.shutdown();
 }
 

@@ -821,32 +821,6 @@ TEST(ServerTest, KeepAliveServesManyRequestsOnOneConnection)
     server.shutdown();
 }
 
-TEST(ServerTest, KeepAliveOptOutClosesAfterEveryResponse)
-{
-    ServerOptions opts;
-    opts.listen.unixPath = testSocketPath("nokeepalive");
-    opts.keepAlive = false;
-    Server server(opts);
-    server.start();
-    const SocketAddress addr{opts.listen.unixPath, "127.0.0.1", 0};
-
-    // The client asks for keep-alive but the server declines; the
-    // connection object transparently reconnects, so requests still
-    // succeed — they just never ride a reused socket.
-    ClientConnection conn(addr);
-    for (int i = 0; i < 2; ++i) {
-        HttpResponse resp;
-        std::string error;
-        ASSERT_TRUE(conn.get("/healthz", &resp, &error)) << error;
-        EXPECT_EQ(resp.status, 200);
-        EXPECT_FALSE(conn.lastReused()) << i;
-    }
-    const auto s = server.metricsSnapshot();
-    EXPECT_EQ(s.accepted, 2u);
-    EXPECT_EQ(s.keepAliveReused, 0u);
-    server.shutdown();
-}
-
 /**
  * A raw unix-socket listener that answers each accepted connection
  * with the next scripted byte string (after reading a little of the
@@ -918,6 +892,31 @@ TEST(ClientFailure, ResetAfterPartialResponseIsClassified)
     // classification is what lets callers know a retry is safe.
     EXPECT_EQ(failure, GetFailure::PartialResponse);
     EXPECT_NE(error.find("mid-response"), std::string::npos);
+}
+
+TEST(ClientConnectionTest, ReconnectsWhenTheServerAnswersClose)
+{
+    // A server that declines keep-alive (`Connection: close`, then
+    // EOF): the connection object drops the socket after each answer
+    // and reconnects for the next request, so both still succeed.
+    const std::string path = testSocketPath("answers-close");
+    const auto answer = [](const std::string &body) {
+        return httpResponse(200, "application/json", body);
+    };
+    ScriptedServer scripted(path, {answer("{\"n\": 1}\n"),
+                                   answer("{\"n\": 2}\n")});
+    const SocketAddress addr{path, "127.0.0.1", 0};
+
+    ClientConnection conn(addr);
+    for (int i = 1; i <= 2; ++i) {
+        HttpResponse resp;
+        std::string error;
+        ASSERT_TRUE(conn.get("/healthz", &resp, &error, 5000)) << error;
+        EXPECT_EQ(resp.status, 200);
+        EXPECT_EQ(resp.body, "{\"n\": " + std::to_string(i) + "}\n");
+        EXPECT_FALSE(conn.lastReused()) << i;
+        EXPECT_FALSE(conn.connected()) << i;
+    }
 }
 
 // ---------------------------------------------------------------------
