@@ -26,7 +26,7 @@
  * JSON schema "mgx-bench-v1": {schema, bench, unit,
  *   calibration: {aesBlocksPerSecond, blocks, wallSeconds, checksum},
  *   results:[
- *   {workload, platform, scheme, mode (replay|stream|pipeline),
+ *   {workload, platform, scheme, mode (replay|stream),
  *    linesPerSecond, wallSeconds, replays, linesPerReplay,
  *    cyclesPerReplay, traceBytes, tracePhases}]}
  */
@@ -40,7 +40,6 @@
 
 #include "crypto/aes128.h"
 #include "sim/experiment.h"
-#include "sim/pipeline.h"
 #include "sim/report.h"
 #include "sim/workload_registry.h"
 
@@ -56,9 +55,7 @@ struct CellResult
     protection::Scheme scheme = protection::Scheme::NP;
     /**
      * Measurement axis: "replay" times the materialized hot path,
-     * "stream" generates + replays serially per rep, "pipeline" runs
-     * the same end-to-end stream with generation and replay on two
-     * threads over the SPSC phase ring (sim/pipeline.h).
+     * "stream" generates + replays per rep.
      */
     const char *mode = "replay";
     double linesPerSecond = 0.0;
@@ -117,23 +114,18 @@ measureCalibration()
 /**
  * Stream @p workload end to end (fresh kernel, pull-based replay, no
  * materialized trace) under @p scheme until the budget is spent — the
- * throughput of the streaming pipeline, generation included. With
- * @p pipelined, generation and replay run on two threads over the
- * SPSC phase ring instead of interleaving on one. Same work, same
- * results either way (the self-check still compares cycle counts),
- * different wall clock on a multi-core host.
+ * throughput of the streaming path, generation included.
  */
 CellResult
 measureStreamedCell(const std::string &workload,
                     const sim::Platform &platform,
-                    protection::Scheme scheme, double min_seconds,
-                    bool pipelined = false)
+                    protection::Scheme scheme, double min_seconds)
 {
     CellResult cell;
     cell.workload = workload;
     cell.platform = platform.name;
     cell.scheme = scheme;
-    cell.mode = pipelined ? "pipeline" : "stream";
+    cell.mode = "stream";
 
     protection::ProtectionConfig cfg;
     cfg.scheme = scheme;
@@ -148,9 +140,7 @@ measureStreamedCell(const std::string &workload,
         sim::PerfModel model(&engine, platform.clockMhz);
         auto kernel = sim::makeKernel(workload, platform);
         auto source = kernel->stream();
-        const sim::RunResult r = pipelined
-                                     ? sim::runPipelined(model, *source)
-                                     : model.run(*source);
+        const sim::RunResult r = model.run(*source);
         if (reps == 0) {
             cycles = r.totalCycles;
             lines = dram.accessCount();
@@ -274,9 +264,9 @@ usage(std::FILE *out)
         "usage: bench_perf_throughput [options]\n"
         "  --set micro|full    workload set (default micro)\n"
         "                      micro: the tiled-MatMul cells under\n"
-        "                             NP/MGX/BP on the replay, stream\n"
-        "                             and pipeline axes, plus genome\n"
-        "                             and video BP cells (the floor)\n"
+        "                             NP/MGX/BP on the replay and\n"
+        "                             stream axes, plus genome and\n"
+        "                             video BP cells (the floor)\n"
         "                      full:  + dnn/resnet50 + graph/pokec\n"
         "  --min-seconds S     time budget per cell (default 0.5)\n"
         "  --json FILE         write the mgx-bench-v1 artifact\n"
@@ -290,7 +280,6 @@ struct WorkloadSpec
     const char *workload;
     std::vector<protection::Scheme> schemes;
     std::vector<protection::Scheme> streamedSchemes;
-    std::vector<protection::Scheme> pipelinedSchemes;
 };
 
 /**
@@ -311,18 +300,14 @@ workloadSet(const std::string &set)
     // The MatMul cells also run on the streamed axis (fresh kernel +
     // pull-based replay per rep): the end-to-end throughput of the
     // default mgx_run path, tracked next to the pure-replay numbers.
-    // The pipeline axis repeats the streamed cells over the two-thread
-    // phase ring, so stream-vs-pipeline is a direct wall-clock
-    // comparison of serial and pipelined single-cell replay.
     std::vector<WorkloadSpec> specs = {
-        {"core/matmul?m=256&n=256&k=256", all, all, all},
-        {"genome/chr1PacBio?reads=2", bp, none, none},
-        {"video/h264?frames=2", bp, none, none},
+        {"core/matmul?m=256&n=256&k=256", all, all},
+        {"genome/chr1PacBio?reads=2", bp, none},
+        {"video/h264?frames=2", bp, none},
     };
     if (set == "full") {
-        specs.push_back(
-            {"dnn/resnet50?task=inference", all, none, none});
-        specs.push_back({"graph/pokec/pagerank", all, all, bp});
+        specs.push_back({"dnn/resnet50?task=inference", all, none});
+        specs.push_back({"graph/pokec/pagerank", all, all});
     }
     return specs;
 }
@@ -408,12 +393,6 @@ main(int argc, char **argv)
         for (protection::Scheme s : spec.streamedSchemes) {
             cells.push_back(
                 measureStreamedCell(w, platform, s, min_seconds));
-            printCell(cells.back());
-        }
-        for (protection::Scheme s : spec.pipelinedSchemes) {
-            cells.push_back(
-                measureStreamedCell(w, platform, s, min_seconds,
-                                    /*pipelined=*/true));
             printCell(cells.back());
         }
     }

@@ -16,11 +16,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
+#include "common/cli.h"
 #include "serve/client.h"
 
 namespace {
+
+constexpr mgx::u64 kIntMax = std::numeric_limits<int>::max();
 
 int
 usage(std::FILE *out)
@@ -80,13 +84,19 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&](u64 min, u64 max) -> u64 {
+            const auto n =
+                parseUnsignedOption("mgx_client", arg, value(), min, max);
+            if (!n)
+                std::exit(usage(stderr));
+            return *n;
+        };
         if (arg == "--help" || arg == "-h")
             return usage(stdout);
         if (arg == "--socket") {
             addr.unixPath = value();
         } else if (arg == "--port") {
-            addr.port =
-                static_cast<u16>(std::strtoul(value(), nullptr, 10));
+            addr.port = static_cast<u16>(number(1, 65535));
         } else if (arg == "--host") {
             addr.host = value();
         } else if (arg == "--run" || arg == "--workload" ||
@@ -101,18 +111,15 @@ main(int argc, char **argv)
         } else if (arg == "--shutdown") {
             shutdown = true;
         } else if (arg == "--timeout-ms") {
-            timeout_ms =
-                static_cast<int>(std::strtol(value(), nullptr, 10));
+            timeout_ms = static_cast<int>(number(1, kIntMax));
         } else if (arg == "--retries") {
-            retry.retries =
-                static_cast<int>(std::strtol(value(), nullptr, 10));
+            retry.retries = static_cast<int>(number(0, kIntMax));
         } else if (arg == "--backoff-ms") {
-            retry.backoffMs =
-                static_cast<int>(std::strtol(value(), nullptr, 10));
+            retry.backoffMs = static_cast<int>(number(0, kIntMax));
         } else if (arg == "--client-stats") {
             client_stats = true;
         } else if (arg == "--repeat") {
-            repeat = static_cast<int>(std::strtol(value(), nullptr, 10));
+            repeat = static_cast<int>(number(1, kIntMax));
         } else if (arg == "--no-keep-alive") {
             keep_alive = false;
         } else {

@@ -18,14 +18,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include <poll.h>
 #include <sys/stat.h>
 
+#include "common/cli.h"
 #include "fleet/fleet.h"
 
 namespace {
+
+using mgx::u64;
+
+constexpr u64 kIntMax = std::numeric_limits<int>::max();
+constexpr u64 kU64Max = std::numeric_limits<u64>::max();
 
 volatile std::sig_atomic_t g_signaled = 0;
 
@@ -45,14 +52,14 @@ usage(std::FILE *out)
         "                         (default: TCP loopback)\n"
         "  --port N               proxy TCP port (0 = kernel-assigned;\n"
         "                         printed on startup)\n"
-        "  --workers N            mgx_serve worker processes\n"
+        "  --workers N            mgx_serve worker processes, 1..1024\n"
         "                         (default 3)\n"
         "  --socket-dir DIR       where worker sockets live (default:\n"
         "                         alongside --socket, else /tmp)\n"
         "  --trace-cache DIR      shared trace cache for all workers\n"
         "  --trace-cache-max-bytes N\n"
         "                         LRU cap for the shared cache\n"
-        "  --worker-threads N     handler threads per worker\n"
+        "  --worker-threads N     handler threads per worker, 1..1024\n"
         "                         (default 2)\n"
         "  --serve-binary PATH    the mgx_serve executable (default:\n"
         "                         found next to mgx_fleet)\n"
@@ -85,34 +92,38 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&](u64 min, u64 max) -> u64 {
+            const auto n =
+                parseUnsignedOption("mgx_fleet", arg, value(), min, max);
+            if (!n)
+                std::exit(usage(stderr));
+            return *n;
+        };
         if (arg == "--help" || arg == "-h")
             return usage(stdout);
         if (arg == "--socket") {
             opts.proxy.listen.unixPath = value();
         } else if (arg == "--port") {
-            opts.proxy.listen.port =
-                static_cast<u16>(std::strtoul(value(), nullptr, 10));
+            opts.proxy.listen.port = static_cast<u16>(number(0, 65535));
         } else if (arg == "--workers") {
             opts.supervisor.workers =
-                static_cast<int>(std::strtol(value(), nullptr, 10));
+                static_cast<int>(number(1, kMaxThreadCount));
         } else if (arg == "--socket-dir") {
             socket_dir = value();
         } else if (arg == "--trace-cache") {
             opts.supervisor.traceCacheDir = value();
         } else if (arg == "--trace-cache-max-bytes") {
-            opts.supervisor.traceCacheMaxBytes =
-                std::strtoull(value(), nullptr, 10);
+            opts.supervisor.traceCacheMaxBytes = number(0, kU64Max);
         } else if (arg == "--worker-threads") {
             opts.supervisor.workerThreads =
-                static_cast<u32>(std::strtoul(value(), nullptr, 10));
+                static_cast<u32>(number(1, kMaxThreadCount));
         } else if (arg == "--serve-binary") {
             opts.supervisor.serveBinary = value();
         } else if (arg == "--probe-interval-ms") {
             opts.supervisor.probeIntervalMs =
-                static_cast<int>(std::strtol(value(), nullptr, 10));
+                static_cast<int>(number(1, kIntMax));
         } else if (arg == "--hedge-ms") {
-            opts.proxy.hedgeMs =
-                static_cast<int>(std::strtol(value(), nullptr, 10));
+            opts.proxy.hedgeMs = static_cast<int>(number(0, kIntMax));
         } else if (arg == "--quiet" || arg == "-q") {
             quiet = true;
         } else {

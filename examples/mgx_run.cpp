@@ -13,11 +13,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/workload_registry.h"
@@ -41,7 +42,8 @@ usage(std::FILE *out)
         "                         (default: each workload's paper platform)\n"
         "  --schemes S[,...]      NP, MGX, MGX_VN, MGX_MAC, BP\n"
         "                         (default: all five)\n"
-        "  --threads N            worker threads (default: all cores)\n"
+        "  --threads N            worker threads, at most 1024\n"
+        "                         (default 0: all cores)\n"
         "  --trace-cache DIR      reuse generated traces across runs:\n"
         "                         serialize each trace into DIR and\n"
         "                         replay from it instead of regenerating\n"
@@ -49,18 +51,6 @@ usage(std::FILE *out)
         "                         LRU size cap for the trace cache:\n"
         "                         after the run, evict oldest-mtime\n"
         "                         traces until DIR is back under N\n"
-        "  --pipeline             split every cell's trace generation\n"
-        "                         and replay onto two threads over a\n"
-        "                         bounded SPSC phase ring — bitwise-\n"
-        "                         identical results (only the pipeline\n"
-        "                         stall counters vary run to run)\n"
-        "  --no-pipeline          force serial cells. Default: auto —\n"
-        "                         pipeline only a single-cell grid.\n"
-        "                         --threads N stays a true concurrency\n"
-        "                         cap: a pipelined cell costs two\n"
-        "                         threads (producer + replay), so the\n"
-        "                         pool runs floor(N/2) cells at once,\n"
-        "                         and --threads 1 never pipelines\n"
         "  --json FILE            write the mgx-resultset-v1 artifact\n"
         "  --quiet                suppress the table on stdout\n"
         "  --help                 this message\n"
@@ -81,10 +71,9 @@ main(int argc, char **argv)
     std::vector<protection::Scheme> schemes;
     std::string json_path;
     std::string trace_cache_dir;
-    unsigned long long trace_cache_max_bytes = 0;
-    unsigned threads = 0;
+    u64 trace_cache_max_bytes = 0;
+    u32 threads = 0;
     bool quiet = false;
-    int pipeline = -1; // -1 auto, 0 forced off, 1 forced on
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -95,6 +84,13 @@ main(int argc, char **argv)
                 std::exit(usage(stderr));
             }
             return argv[++i];
+        };
+        auto number = [&](u64 min, u64 max) -> u64 {
+            const auto n =
+                parseUnsignedOption("mgx_run", arg, value(), min, max);
+            if (!n)
+                std::exit(usage(stderr));
+            return *n;
         };
         if (arg == "--help" || arg == "-h")
             return usage(stdout);
@@ -129,36 +125,14 @@ main(int argc, char **argv)
             for (auto &s : sim::splitCommas(value()))
                 schemes.push_back(sim::schemeByName(s));
         } else if (arg == "--threads") {
-            // Digits only: strtoul alone would wrap "-1" to
-            // ULONG_MAX and skip leading blanks or a '+'.
-            const char *v = value();
-            if (*v == '\0' || v[std::strspn(v, "0123456789")] != '\0') {
-                std::fprintf(stderr,
-                             "mgx_run: --threads needs a number, "
-                             "got '%s'\n",
-                             v);
-                return usage(stderr);
-            }
-            threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            threads = static_cast<u32>(number(0, kMaxThreadCount));
         } else if (arg == "--json") {
             json_path = value();
         } else if (arg == "--trace-cache") {
             trace_cache_dir = value();
         } else if (arg == "--trace-cache-max-bytes") {
-            const char *v = value();
-            char *end = nullptr;
-            trace_cache_max_bytes = std::strtoull(v, &end, 10);
-            if (end == v || *end != '\0') {
-                std::fprintf(stderr,
-                             "mgx_run: --trace-cache-max-bytes needs "
-                             "a byte count, got '%s'\n",
-                             v);
-                return usage(stderr);
-            }
-        } else if (arg == "--pipeline") {
-            pipeline = 1;
-        } else if (arg == "--no-pipeline") {
-            pipeline = 0;
+            trace_cache_max_bytes =
+                number(0, std::numeric_limits<u64>::max());
         } else if (arg == "--quiet" || arg == "-q") {
             quiet = true;
         } else {
@@ -181,8 +155,6 @@ main(int argc, char **argv)
 
     sim::Experiment experiment;
     experiment.workloads(workloads).threads(threads);
-    if (pipeline != -1)
-        experiment.pipelined(pipeline == 1);
     if (!platforms.empty())
         experiment.platforms(platforms);
     if (!schemes.empty())

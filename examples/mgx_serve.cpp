@@ -14,12 +14,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include <poll.h>
 
+#include "common/cli.h"
 #include "serve/server.h"
 
 namespace {
+
+using mgx::u64;
+
+constexpr u64 kIntMax = std::numeric_limits<int>::max();
+constexpr u64 kSizeMax = std::numeric_limits<std::size_t>::max();
+constexpr u64 kU64Max = std::numeric_limits<u64>::max();
 
 volatile std::sig_atomic_t g_signaled = 0;
 
@@ -39,7 +47,8 @@ usage(std::FILE *out)
         "                         TCP loopback)\n"
         "  --port N               TCP port (0 = kernel-assigned; the\n"
         "                         bound port is printed on startup)\n"
-        "  --workers N            request handler threads (default 2)\n"
+        "  --workers N            request handler threads, 1..1024\n"
+        "                         (default 2)\n"
         "  --queue N              admission queue capacity before\n"
         "                         connections get 429 (default 16)\n"
         "  --trace-cache DIR      share generated traces on disk with\n"
@@ -79,32 +88,33 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&](u64 min, u64 max) -> u64 {
+            const auto n =
+                parseUnsignedOption("mgx_serve", arg, value(), min, max);
+            if (!n)
+                std::exit(usage(stderr));
+            return *n;
+        };
         if (arg == "--help" || arg == "-h")
             return usage(stdout);
         if (arg == "--socket") {
             opts.listen.unixPath = value();
         } else if (arg == "--port") {
-            opts.listen.port =
-                static_cast<u16>(std::strtoul(value(), nullptr, 10));
+            opts.listen.port = static_cast<u16>(number(0, 65535));
         } else if (arg == "--workers") {
-            opts.workers =
-                static_cast<u32>(std::strtoul(value(), nullptr, 10));
+            opts.workers = static_cast<u32>(number(1, kMaxThreadCount));
         } else if (arg == "--queue") {
-            opts.admissionCapacity = std::strtoul(value(), nullptr, 10);
+            opts.admissionCapacity = number(1, kSizeMax);
         } else if (arg == "--trace-cache") {
             opts.traceCacheDir = value();
         } else if (arg == "--trace-cache-max-bytes") {
-            opts.traceCacheMaxBytes =
-                std::strtoull(value(), nullptr, 10);
+            opts.traceCacheMaxBytes = number(0, kU64Max);
         } else if (arg == "--deadline-ms") {
-            opts.requestDeadlineMs =
-                static_cast<int>(std::strtol(value(), nullptr, 10));
+            opts.requestDeadlineMs = static_cast<int>(number(0, kIntMax));
         } else if (arg == "--result-memo") {
-            opts.resultMemoCapacity =
-                std::strtoul(value(), nullptr, 10);
+            opts.resultMemoCapacity = number(0, kSizeMax);
         } else if (arg == "--keep-alive-idle-ms") {
-            opts.keepAliveIdleMs =
-                static_cast<int>(std::strtol(value(), nullptr, 10));
+            opts.keepAliveIdleMs = static_cast<int>(number(0, kIntMax));
         } else if (arg == "--quiet" || arg == "-q") {
             quiet = true;
         } else {

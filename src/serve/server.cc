@@ -343,9 +343,8 @@ Server::noteCacheHealth(bool degraded)
 CellOutcome
 Server::runCellWithEngine(const CellKey &cell)
 {
-    // One cell per run, on one thread: a one-thread budget never
-    // pipelines, so the response body stays byte-identical to
-    // `mgx_run --no-pipeline --json`.
+    // One cell per run, on one thread; the body is byte-identical to
+    // `mgx_run --json` for the same cell.
     sim::Experiment experiment;
     experiment.workload(cell.workload)
         .platform(cell.platform)
@@ -365,14 +364,7 @@ Server::runCellWithEngine(const CellKey &cell)
     // health; bypassing cells would otherwise "recover" it blindly.
     if (with_cache)
         noteCacheHealth(rs.cacheDegraded());
-    CellOutcome out{rs.records()[0], rs.traceCacheHits(),
-                    rs.traceCacheMisses()};
-    // Scrub the scheduling-dependent pipeline diagnostics so
-    // responses — and the memo — never depend on how the cell ran.
-    out.record.result.pipelineProducerWaits = 0;
-    out.record.result.pipelineConsumerWaits = 0;
-    out.record.result.pipelineMaxOccupancy = 0;
-    return out;
+    return {rs.records()[0], rs.traceCacheHits(), rs.traceCacheMisses()};
 }
 
 } // namespace mgx::serve

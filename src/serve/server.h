@@ -46,7 +46,7 @@
  *               across processes sharing the directory.
  *
  * Each cell runs serially on one thread, so response bodies are
- * byte-identical to `mgx_run --no-pipeline --json` for the same grid.
+ * byte-identical to `mgx_run --json` for the same grid.
  *
  * Graceful shutdown: stop accepting, drain the queued and in-flight
  * requests, join every thread, then wait for cells orphaned by a

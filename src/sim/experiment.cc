@@ -6,11 +6,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
-#include <memory>
+#include <mutex>
 #include <thread>
 
 #include "common/log.h"
-#include "pipeline.h"
 #include "trace_io.h"
 #include "workload_registry.h"
 
@@ -107,59 +106,6 @@ parallelFor(std::size_t n, u32 threads, const Body &body)
     for (auto &t : pool)
         t.join();
 }
-
-/**
- * TraceFileWriteSink that never lets a cache-write failure disturb
- * the replay consuming the same phase stream: any TraceIoError from
- * the inner sink flips it into a black hole (the abandoned temporary
- * is cleaned up immediately), and finish() reports whether the file
- * was actually published. Results stay exact under ENOSPC; only
- * cache reuse is lost.
- */
-class GuardedCacheSink final : public core::PhaseSink
-{
-  public:
-    explicit GuardedCacheSink(const std::string &path)
-    {
-        try {
-            inner_ = std::make_unique<TraceFileWriteSink>(path);
-        } catch (const TraceIoError &) {
-            failed_ = true;
-        }
-    }
-
-    void
-    consume(const core::Phase &phase) override
-    {
-        if (failed_)
-            return;
-        try {
-            inner_->consume(phase);
-        } catch (const TraceIoError &) {
-            failed_ = true;
-            inner_.reset();
-        }
-    }
-
-    /** True when the cache file was published. */
-    bool
-    finish()
-    {
-        if (failed_)
-            return false;
-        try {
-            inner_->finish();
-            return true;
-        } catch (const TraceIoError &) {
-            failed_ = true;
-            return false;
-        }
-    }
-
-  private:
-    std::unique_ptr<TraceFileWriteSink> inner_;
-    bool failed_ = false;
-};
 
 } // namespace
 
@@ -328,20 +274,6 @@ Experiment::traceCacheMaxBytes(u64 bytes)
     return *this;
 }
 
-Experiment &
-Experiment::pipelined(bool on)
-{
-    pipelined_ = on;
-    return *this;
-}
-
-Experiment &
-Experiment::pipelineRingCapacity(std::size_t phases)
-{
-    pipelineRingCapacity_ = phases;
-    return *this;
-}
-
 u64
 enforceTraceCacheLimit(const std::string &dir, u64 max_bytes)
 {
@@ -443,8 +375,6 @@ Experiment::run() const
         Platform platform;    ///< platform it is generated for
         std::string cacheKey; ///< traceCacheKey (generated jobs)
         const core::Trace *explicitTrace = nullptr;
-        u32 cellCount = 0;    ///< grid cells consuming this trace
-        bool deferred = false; ///< cache fill happens in phase 2 (tee)
     };
 
     std::vector<Cell> cells;
@@ -485,35 +415,6 @@ Experiment::run() const
                     {&entry, platform, scheme, it->second});
         }
     }
-    for (const Cell &cell : cells)
-        ++jobs[cell.traceJob].cellCount;
-
-    // Resolve the pipelining decision and the thread budget it must
-    // respect. A pipelined cell occupies two threads (producer +
-    // replay), so the pool shrinks to floor(budget / 2) workers —
-    // `threads` stays a true concurrency cap either way — and a
-    // one-thread budget cannot pipeline at all. The automatic default
-    // pipelines only a single-cell grid: with several cells the pool
-    // already uses the budget, and serial cells keep scheduling out
-    // of the results entirely (the pipeline stall counters are the
-    // one nondeterministic RunResult field).
-    const u32 budget =
-        threads_ != 0
-            ? threads_
-            : std::max(1u, std::thread::hardware_concurrency());
-    const bool pipelined =
-        budget >= 2 &&
-        (pipelined_.has_value() ? *pipelined_ : cells.size() == 1);
-    const u32 replayWorkers = pipelined ? budget / 2 : budget;
-
-    // A cache-missing trace consumed by exactly one pipelined cell
-    // skips phase 1: the cell's producer thread tees phases into the
-    // cache file while the replay consumes them, so the kernel runs
-    // once instead of twice.
-    if (pipelined && !traceCacheDir_.empty())
-        for (TraceJob &job : jobs)
-            job.deferred =
-                job.explicitTrace == nullptr && job.cellCount == 1;
 
     // Phase 1: fill the trace cache once per distinct key, in
     // parallel. A fresh kernel per job keeps generation deterministic
@@ -532,7 +433,7 @@ Experiment::run() const
     // daemon must outlive a broken disk; the CLI prints a warning).
     std::string cacheDir = traceCacheDir_;
     u64 cache_swept = 0;
-    std::atomic<u64> cache_faults{0};
+    u64 cache_faults = 0;
     if (!cacheDir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(cacheDir, ec);
@@ -540,7 +441,7 @@ Experiment::run() const
             MGX_WARN("cannot create trace-cache dir '%s' (%s); "
                      "running uncached",
                      cacheDir.c_str(), ec.message().c_str());
-            cache_faults.fetch_add(1, std::memory_order_relaxed);
+            ++cache_faults;
             cacheDir.clear();
         } else {
             // Startup sweep: crashed writers leak `*.trace.tmp.*`
@@ -553,21 +454,14 @@ Experiment::run() const
                 traceCacheFileName(job.cacheKey))
             .string();
     };
-    std::atomic<u64> cache_hits{0};
-    std::atomic<u64> cache_misses{0};
-    std::atomic<u64> cache_quarantined{0};
-    parallelFor(jobs.size(), budget, [&](std::size_t i) {
-        if (cacheDir.empty() || jobs[i].explicitTrace != nullptr)
-            return;
-        if (jobs[i].deferred)
-            return; // phase 2 fills the cache through the tee
-        const std::string file = cacheFilePath(jobs[i]);
-        // Hit probe, shared by the fast path and the post-lock
-        // re-check. It only checks that the file exists: the cache is
-        // shared across processes, so a foreign evictor may delete the
-        // file at any instant, and phase 2's open already falls back
-        // to the kernel. Integrity is verified during the replay
-        // itself (phase 2 quarantines a file that fails it).
+    enum class CacheOutcome : u8 { None, Hit, Miss, Fault };
+    // Make the job's cache file exist. The hit probe only checks that
+    // the file exists: the cache is shared across processes, so a
+    // foreign evictor may delete the file at any instant, and phase 2
+    // falls back to the kernel. Integrity is verified during the
+    // replay itself (phase 2 repairs a file that fails it).
+    const auto fillCache = [&](const TraceJob &job) {
+        const std::string file = cacheFilePath(job);
         const auto tryHit = [&]() -> bool {
             std::error_code ec;
             if (!std::filesystem::exists(file, ec) || ec)
@@ -575,149 +469,132 @@ Experiment::run() const
             touchCacheFile(file);
             return true;
         };
-        if (tryHit()) {
-            cache_hits.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
+        if (tryHit())
+            return CacheOutcome::Hit;
         // Miss: take the per-key cross-process lock so two processes
         // missing on the same key generate once between them — the
         // loser of the race waits here, then finds the winner's file
         // on the re-check. (In-process, distinct jobs have distinct
         // keys, so the lock never self-serializes a grid.) Any cache
         // I/O failure inside the boundary — lock, write, publish —
-        // degrades this job to uncached: the trace the cells need is
-        // (re)generated from the kernel, which never touches disk.
+        // degrades this job to uncached: the cells find no file in
+        // phase 2 and stream their own fresh kernel.
         try {
             TraceCacheLock lock(file);
-            if (tryHit()) {
-                cache_hits.fetch_add(1, std::memory_order_relaxed);
-                return;
-            }
-            auto kernel = makeKernel(jobs[i].name, jobs[i].platform);
+            if (tryHit())
+                return CacheOutcome::Hit;
+            auto kernel = makeKernel(job.name, job.platform);
             TraceFileWriteSink sink(file);
             kernel->stream()->drainTo(sink);
             sink.finish();
-            cache_misses.fetch_add(1, std::memory_order_relaxed);
+            return CacheOutcome::Miss;
         } catch (const TraceIoError &) {
-            // The cells find no file in phase 2 and stream their own
-            // fresh kernel.
-            cache_faults.fetch_add(1, std::memory_order_relaxed);
+            return CacheOutcome::Fault;
         }
+    };
+    const u32 budget =
+        threads_ != 0
+            ? threads_
+            : std::max(1u, std::thread::hardware_concurrency());
+    std::vector<CacheOutcome> outcomes(jobs.size(), CacheOutcome::None);
+    parallelFor(jobs.size(), budget, [&](std::size_t i) {
+        if (!cacheDir.empty() && jobs[i].explicitTrace == nullptr)
+            outcomes[i] = fillCache(jobs[i]);
     });
 
     // Phase 2: simulate every cell on fresh per-cell state. Registry
     // cells pull phases from the cache file (when caching) or from
     // their own fresh kernel — deterministic either way, so the two
-    // are bitwise-identical on every model output. Pipelined runs
-    // consume the identical stream through the SPSC ring and differ
-    // only in the scheduling-dependent pipeline counters.
+    // are bitwise-identical on every model output.
+    //
+    // A cache file that fails verification is repaired once per job,
+    // under that job's mutex: the first cell to see it quarantines the
+    // file and regenerates it through fillCache (the job then counts
+    // as a miss); cells of the same job that saw the old file wait for
+    // the repair and replay the fresh one.
+    std::vector<std::mutex> repairLocks(jobs.size());
+    std::vector<char> repaired(jobs.size(), 0);
     std::vector<RunResult> results(cells.size());
-    parallelFor(cells.size(), replayWorkers, [&](std::size_t i) {
+    parallelFor(cells.size(), budget, [&](std::size_t i) {
         const Cell &cell = cells[i];
         const TraceJob &job = jobs[cell.traceJob];
         // Model state is built fresh per simulation attempt: when a
         // cached replay dies mid-stream on a corrupt file, the retry
-        // from the kernel must not inherit half-replayed DRAM or
-        // metadata state.
-        const auto simulate = [&](const auto &replay) -> RunResult {
+        // must not inherit half-replayed DRAM or metadata state.
+        const auto simulate = [&](const auto &replay) {
             dram::DramSystem dram(cell.platform.dram);
             protection::ProtectionConfig cfg = config_;
             cfg.scheme = cell.scheme;
             protection::ProtectionEngine engine(cfg, &dram);
             PerfModel model(&engine, cell.platform.clockMhz);
-            return replay(model);
+            results[i] = replay(model);
         };
         if (job.explicitTrace != nullptr) {
-            results[i] = simulate([&](PerfModel &model) {
+            simulate([&](PerfModel &model) {
                 return model.run(*job.explicitTrace);
             });
             return;
         }
-        const auto simulateStream = [&](core::PhaseSource &source,
-                                         core::PhaseSink *tee) {
-            return simulate([&](PerfModel &model) {
-                if (!pipelined)
-                    return model.run(source);
-                PipelineOptions options;
-                options.ringCapacity = pipelineRingCapacity_;
-                options.tee = tee;
-                return runPipelined(model, source, options);
-            });
-        };
-        // Replay the cache file into results[i]; false when it is
-        // gone or fails verification. The checksum footer is only
-        // reached at the end of the replay, so a corrupt file is
-        // quarantined after the fact and the caller restarts the
-        // cell on fresh state.
-        const auto replayCached = [&](const std::string &file,
-                                      bool count_hit) -> bool {
-            auto source = FilePhaseSource::openIfReadable(
-                file, /*require_checksum=*/true);
-            if (!source)
-                return false;
-            try {
-                results[i] = simulateStream(*source, nullptr);
-            } catch (const TraceIoError &) {
-                quarantineTraceFile(file);
-                cache_quarantined.fetch_add(1,
-                                            std::memory_order_relaxed);
-                return false;
-            }
-            if (count_hit) {
-                touchCacheFile(file);
-                cache_hits.fetch_add(1, std::memory_order_relaxed);
-            }
-            return true;
+        const auto simulateStream = [&](core::PhaseSource &source) {
+            simulate(
+                [&](PerfModel &model) { return model.run(source); });
         };
         if (!cacheDir.empty()) {
-            const std::string file = cacheFilePath(job);
             // The cache is shared across processes, so another run's
-            // eviction may have deleted the file since phase 1
-            // touched it; fall back to streaming the kernel directly
-            // (equal keys guarantee the identical phase stream).
-            // Phase 1 never probed a deferred key, so its hit is
-            // accounted here.
-            if (replayCached(file, job.deferred))
-                return;
-            if (job.deferred) {
-                // Single-cell cache miss: take the per-key
-                // cross-process lock (another process may be
-                // generating this very key right now), re-check, and
-                // only then stream the kernel once, teeing each phase
-                // into the cache file on the producer thread while
-                // this thread replays it. The guarded tee absorbs
-                // cache-write failures (ENOSPC mid-tee must not kill
-                // the replay sharing its phase stream); lock failures
-                // degrade the cell to plain uncached streaming below.
+            // eviction may have deleted the file since phase 1 touched
+            // it; fall back to streaming the kernel directly (equal
+            // keys guarantee the identical phase stream). The checksum
+            // footer is only reached at the end of the replay, so a
+            // corrupt file is caught after the fact and the cell
+            // restarts on fresh state.
+            const std::string file = cacheFilePath(job);
+            const auto replayCached = [&]() -> std::optional<bool> {
+                auto source = FilePhaseSource::openIfReadable(
+                    file, /*require_checksum=*/true);
+                if (!source)
+                    return std::nullopt; // gone: stream the kernel
                 try {
-                    TraceCacheLock lock(file);
-                    if (replayCached(file, /*count_hit=*/true))
-                        return;
-                    auto kernel = makeKernel(job.name, job.platform);
-                    auto source = kernel->stream();
-                    GuardedCacheSink sink(file);
-                    results[i] = simulateStream(*source, &sink);
-                    (sink.finish() ? cache_misses : cache_faults)
-                        .fetch_add(1, std::memory_order_relaxed);
-                    return; // the lock releases: waiters can hit now
+                    simulateStream(*source);
+                    return true;
                 } catch (const TraceIoError &) {
-                    cache_faults.fetch_add(1,
-                                           std::memory_order_relaxed);
+                    return false; // failed verification
                 }
+            };
+            std::optional<bool> replayed = replayCached();
+            if (replayed == false) {
+                {
+                    std::lock_guard<std::mutex> guard(
+                        repairLocks[cell.traceJob]);
+                    if (!repaired[cell.traceJob]) {
+                        repaired[cell.traceJob] = 1;
+                        quarantineTraceFile(file);
+                        outcomes[cell.traceJob] = fillCache(job);
+                    }
+                }
+                replayed = replayCached();
             }
+            if (replayed == true)
+                return;
         }
         auto kernel = makeKernel(job.name, job.platform);
-        auto source = kernel->stream();
-        results[i] = simulateStream(*source, nullptr);
+        simulateStream(*kernel->stream());
     });
 
     if (!cacheDir.empty() && traceCacheMaxBytes_ > 0)
         enforceTraceCacheLimit(cacheDir, traceCacheMaxBytes_);
 
+    u64 cache_hits = 0;
+    u64 cache_misses = 0;
+    for (CacheOutcome outcome : outcomes) {
+        cache_hits += outcome == CacheOutcome::Hit;
+        cache_misses += outcome == CacheOutcome::Miss;
+        cache_faults += outcome == CacheOutcome::Fault;
+    }
+    const u64 cache_quarantined = static_cast<u64>(
+        std::count(repaired.begin(), repaired.end(), 1));
     ResultSet rs;
-    rs.setTraceCacheStats(cache_hits.load(), cache_misses.load());
-    rs.setTraceCacheHealth(cache_quarantined.load(), cache_swept,
-                           cache_faults.load());
+    rs.setTraceCacheStats(cache_hits, cache_misses);
+    rs.setTraceCacheHealth(cache_quarantined, cache_swept, cache_faults);
     for (std::size_t i = 0; i < cells.size(); ++i)
         rs.add({{cells[i].entry->label, cells[i].platform.name,
                  cells[i].scheme},

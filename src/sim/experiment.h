@@ -29,7 +29,6 @@
 #define MGX_SIM_EXPERIMENT_H
 
 #include <chrono>
-#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -68,13 +67,15 @@ class ResultSet
     const std::vector<RunRecord> &records() const { return records_; }
     bool empty() const { return records_.empty(); }
 
-    /** Trace-cache outcome of the run (0/0 when caching was off). */
+    /** Trace-cache outcome of the run, one per distinct trace (0/0
+     *  when caching was off). A file that failed verification and was
+     *  regenerated counts as a miss. */
     u64 traceCacheHits() const { return traceCacheHits_; }
     u64 traceCacheMisses() const { return traceCacheMisses_; }
 
     /** Cache files that failed integrity verification this run and
-     *  were renamed to `*.trace.bad` (the cell regenerated from the
-     *  kernel instead). */
+     *  were renamed to `*.trace.bad`; the run regenerated and
+     *  republished each one. */
     u64 traceCacheQuarantined() const { return traceCacheQuarantined_; }
 
     /** Abandoned `*.trace.tmp.*` / stale `*.trace.bad` files removed
@@ -202,8 +203,10 @@ class Experiment
      * (several experiments, a serving daemon plus mgx_run, ...):
      * publishes are atomic tmp+rename, a per-key flock
      * (TraceCacheLock) makes concurrent misses on one key generate
-     * exactly once between all processes, and a reader racing a
-     * foreign eviction falls back to streaming the kernel directly.
+     * exactly once between all processes, a file that fails
+     * verification is quarantined and regenerated under that lock, and
+     * a reader racing a foreign eviction falls back to streaming the
+     * kernel directly.
      */
     Experiment &traceCacheDir(const std::string &dir);
 
@@ -215,35 +218,6 @@ class Experiment
      * cache on without it growing without bound.
      */
     Experiment &traceCacheMaxBytes(u64 bytes);
-
-    /**
-     * Pipeline each streamed cell's trace generation and replay onto
-     * two threads over a bounded SPSC phase ring (see sim/pipeline.h)
-     * — bitwise-identical results, but a long single cell is no
-     * longer bound by one core. When never called the choice is
-     * automatic: on when the grid has exactly one cell (the pool
-     * cannot help), off otherwise (cross-cell parallelism already
-     * fills the thread budget).
-     *
-     * The thread budget stays a true cap either way: a pipelined cell
-     * costs two threads (producer + replay), so the pool runs at most
-     * floor(threads / 2) cells at once, and pipelining is disabled
-     * when the budget is a single thread. Explicit-trace cells
-     * always replay serially.
-     *
-     * On a trace-cache miss whose trace only one cell consumes, the
-     * producer tees phases into the cache file while the replay
-     * consumes them — the cache is populated without a separate
-     * generation pass.
-     */
-    Experiment &pipelined(bool on);
-
-    /**
-     * Slots in each pipelined cell's phase ring (default 8). Results
-     * are invariant under the capacity; it bounds how far generation
-     * runs ahead of replay.
-     */
-    Experiment &pipelineRingCapacity(std::size_t phases);
 
     /** Expand the grid, simulate every cell, return the results. */
     ResultSet run() const;
@@ -263,8 +237,6 @@ class Experiment
     u32 threads_ = 0;
     std::string traceCacheDir_;
     u64 traceCacheMaxBytes_ = 0;
-    std::optional<bool> pipelined_; ///< unset = automatic (see pipelined())
-    std::size_t pipelineRingCapacity_ = 8;
 };
 
 /**

@@ -52,17 +52,6 @@ struct RunResult
     u64 metaCacheMisses = 0;     ///< metadata-cache misses
     u64 metaCacheWritebacks = 0; ///< dirty metadata evictions
 
-    /**
-     * Pipelined-replay diagnostics (see sim/pipeline.h): how often
-     * each side of the SPSC phase ring blocked on the other, and the
-     * most phases buffered at once. All zero on a serial replay
-     * (maxOccupancy >= 1 identifies a pipelined run). Unlike every
-     * other field these depend on thread scheduling, so they vary run
-     * to run — equivalence checks must mask them.
-     */
-    u64 pipelineProducerWaits = 0; ///< producer blocked: ring full
-    u64 pipelineConsumerWaits = 0; ///< replay blocked: ring empty
-    u64 pipelineMaxOccupancy = 0;  ///< ring high-water mark (0 = serial)
     double seconds = 0.0;
 
     /** Memory traffic relative to the pure data traffic (>= 1). */

@@ -102,12 +102,12 @@ splitCommas(const std::string &arg)
 void
 printTable(const ResultSet &rs, std::FILE *out)
 {
-    std::fprintf(out, "%-36s %-8s %-8s %12s %10s %10s %10s %5s\n",
+    std::fprintf(out, "%-36s %-8s %-8s %12s %10s %10s %10s\n",
                  "workload", "platform", "scheme", "time(ms)",
-                 "norm.time", "traffic", "peak(KB)", "ring");
+                 "norm.time", "traffic", "peak(KB)");
     std::fprintf(out,
                  "--------------------------------------------------"
-                 "-----------------------------------------------\n");
+                 "-----------------------------------------\n");
     for (const auto &r : rs.records()) {
         const auto norm = rs.normalizedTime(
             r.key.workload, r.key.platform, r.key.scheme);
@@ -127,17 +127,9 @@ printTable(const ResultSet &rs, std::FILE *out)
             std::fprintf(out, "%10s ", "n/a");
         // The replay's phase-buffer high-water mark: one chunk when
         // streamed, the whole trace when materialized.
-        std::fprintf(out, "%10.1f ",
+        std::fprintf(out, "%10.1f\n",
                      static_cast<double>(r.result.peakPhaseBytes) /
                          1024.0);
-        // Pipelined cells report the SPSC ring's occupancy high-water
-        // mark; serial cells have no ring.
-        if (r.result.pipelineMaxOccupancy > 0)
-            std::fprintf(out, "%5llu\n",
-                         static_cast<unsigned long long>(
-                             r.result.pipelineMaxOccupancy));
-        else
-            std::fprintf(out, "%5s\n", "-");
     }
 }
 
@@ -166,14 +158,6 @@ writeJson(const ResultSet &rs, std::ostream &out)
             << r.result.metaCacheHits
             << ", \"misses\": " << r.result.metaCacheMisses
             << ", \"writebacks\": " << r.result.metaCacheWritebacks
-            << "},\n"
-            // Scheduling-dependent pipeline diagnostics: all zero on
-            // serial replays, nondeterministic when pipelined — mask
-            // them in bitwise comparisons.
-            << "     \"pipeline\": {\"producerWaits\": "
-            << r.result.pipelineProducerWaits
-            << ", \"consumerWaits\": " << r.result.pipelineConsumerWaits
-            << ", \"maxOccupancy\": " << r.result.pipelineMaxOccupancy
             << "},\n"
             << "     \"traffic\": {\"data\": " << t.dataBytes
             << ", \"expand\": " << t.expandBytes

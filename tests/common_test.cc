@@ -1,12 +1,15 @@
 /**
  * @file
  * Tests for the common substrate: bit utilities, the deterministic
- * RNG, and the stats counters.
+ * RNG, the stats counters, and checked command-line numbers.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/bitops.h"
+#include "common/cli.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
@@ -190,6 +193,35 @@ TEST(Types, DataClassNames)
     EXPECT_STREQ(dataClassName(DataClass::Feature), "feature");
     EXPECT_STREQ(dataClassName(DataClass::GraphMatrix), "graph-matrix");
     EXPECT_STREQ(accessTypeName(AccessType::Read), "read");
+}
+
+TEST(Cli, ParseUnsignedAcceptsDigitsInRange)
+{
+    EXPECT_EQ(parseUnsigned("0", 0, 10), 0u);
+    EXPECT_EQ(parseUnsigned("7", 0, 10), 7u);
+    EXPECT_EQ(parseUnsigned("007", 0, 10), 7u);
+    EXPECT_EQ(parseUnsigned("65535", 0, 65535), 65535u);
+    EXPECT_EQ(parseUnsigned("18446744073709551615", 0,
+                            std::numeric_limits<u64>::max()),
+              std::numeric_limits<u64>::max());
+    EXPECT_EQ(parseUnsigned("1024", 1, kMaxThreadCount), 1024u);
+}
+
+TEST(Cli, ParseUnsignedRejectsEverythingElse)
+{
+    const u64 any = std::numeric_limits<u64>::max();
+    EXPECT_FALSE(parseUnsigned("", 0, any));
+    EXPECT_FALSE(parseUnsigned("-1", 0, any));  // strtoul wraps this
+    EXPECT_FALSE(parseUnsigned(" 7", 0, any));  // strtoul skips blanks
+    EXPECT_FALSE(parseUnsigned("+7", 0, any));  // and a sign
+    EXPECT_FALSE(parseUnsigned("7 ", 0, any));
+    EXPECT_FALSE(parseUnsigned("12x", 0, any)); // and stops at junk
+    EXPECT_FALSE(parseUnsigned("0x10", 0, any));
+    EXPECT_FALSE(parseUnsigned("18446744073709551616", 0, any));
+    EXPECT_FALSE(parseUnsigned("99999999999999999999999", 0, any));
+    EXPECT_FALSE(parseUnsigned("1025", 1, kMaxThreadCount));
+    EXPECT_FALSE(parseUnsigned("0", 1, kMaxThreadCount));
+    EXPECT_FALSE(parseUnsigned("70000", 0, 65535));
 }
 
 } // namespace

@@ -119,56 +119,26 @@ TEST(Experiment, MatchesCompareSchemesBitwise)
     }
 }
 
-TEST(Experiment, DeterministicAcrossThreadsAndPipeline)
+TEST(Experiment, DeterministicAcrossThreads)
 {
-    // The same grid under every --threads x --pipeline combination
-    // must be bitwise-identical on every model output: the pool only
-    // schedules independent cells, and the SPSC ring only changes
-    // which thread pulls the (identical, stream-ordered) phases.
+    // The same grid at every thread count must produce the same JSON
+    // bytes, no field masked: the pool only schedules independent
+    // cells, each of which replays one stream-ordered phase sequence
+    // on one thread.
     const std::vector<std::string> ws = {
         "core/matmul?m=128&n=128&k=128", "video/h264?frames=4"};
-    auto grid = [&](u32 threads, bool pipeline) {
-        return Experiment()
-            .workloads(ws)
-            .platform(edgePlatform())
-            .schemes({Scheme::NP, Scheme::BP})
-            .threads(threads)
-            .pipelined(pipeline)
-            .run();
+    auto grid = [&](u32 threads) {
+        return toJson(Experiment()
+                          .workloads(ws)
+                          .platform(edgePlatform())
+                          .schemes({Scheme::NP, Scheme::BP})
+                          .threads(threads)
+                          .run());
     };
-    const ResultSet base = grid(1, false);
-    ASSERT_EQ(base.records().size(), 4u);
-    for (u32 threads : {1u, 2u, 4u}) {
-        for (bool pipeline : {false, true}) {
-            const ResultSet rs = grid(threads, pipeline);
-            ASSERT_EQ(rs.records().size(), base.records().size());
-            for (std::size_t i = 0; i < rs.records().size(); ++i) {
-                const RunResult &a = base.records()[i].result;
-                const RunResult &b = rs.records()[i].result;
-                const std::string label =
-                    rs.records()[i].key.workload + " threads=" +
-                    std::to_string(threads) +
-                    (pipeline ? " pipelined" : " serial");
-                EXPECT_EQ(a.totalCycles, b.totalCycles) << label;
-                EXPECT_EQ(a.traffic.totalBytes(),
-                          b.traffic.totalBytes())
-                    << label;
-                EXPECT_EQ(a.dramAccesses, b.dramAccesses) << label;
-                EXPECT_EQ(a.metaCacheHits, b.metaCacheHits) << label;
-                EXPECT_EQ(a.metaCacheMisses, b.metaCacheMisses)
-                    << label;
-                // The footprint fields are content-derived on the
-                // streaming path, so even they match across the ring.
-                EXPECT_EQ(a.traceBytes, b.traceBytes) << label;
-                EXPECT_EQ(a.peakPhaseBytes, b.peakPhaseBytes) << label;
-                // Pipelining happened exactly when requested and the
-                // budget allowed two threads per cell.
-                const bool expectPipelined = pipeline && threads != 1;
-                EXPECT_EQ(b.pipelineMaxOccupancy > 0, expectPipelined)
-                    << label;
-            }
-        }
-    }
+    const std::string base = grid(1);
+    ASSERT_NE(base.find("video/h264"), std::string::npos);
+    for (u32 threads : {2u, 4u})
+        EXPECT_EQ(grid(threads), base) << "threads=" << threads;
 }
 
 TEST(Experiment, TraceCacheSharesAcrossPlatforms)
@@ -309,8 +279,6 @@ TEST(Report, JsonGolden)
         "\"traceBytes\": 512, \"peakPhaseBytes\": 256,\n"
         "     \"metaCache\": {\"hits\": 0, \"misses\": 0, "
         "\"writebacks\": 0},\n"
-        "     \"pipeline\": {\"producerWaits\": 0, "
-        "\"consumerWaits\": 0, \"maxOccupancy\": 0},\n"
         "     \"traffic\": {\"data\": 4096, \"expand\": 0, \"mac\": 0, "
         "\"vn\": 0, \"tree\": 0, \"total\": 4096},\n"
         "     \"normalizedTime\": 1, \"trafficIncrease\": 1},\n"
@@ -322,8 +290,6 @@ TEST(Report, JsonGolden)
         "\"traceBytes\": 512, \"peakPhaseBytes\": 256,\n"
         "     \"metaCache\": {\"hits\": 7, \"misses\": 3, "
         "\"writebacks\": 1},\n"
-        "     \"pipeline\": {\"producerWaits\": 0, "
-        "\"consumerWaits\": 0, \"maxOccupancy\": 0},\n"
         "     \"traffic\": {\"data\": 4096, \"expand\": 64, "
         "\"mac\": 64, \"vn\": 0, \"tree\": 0, \"total\": 4224},\n"
         "     \"normalizedTime\": 1.03, \"trafficIncrease\": "

@@ -68,22 +68,13 @@ struct FailpointGuard
     ~FailpointGuard() { failpoint::disarmAll(); }
 };
 
-/**
- * One-cell grid. Serial by default (cache fills in phase 1, before
- * the replay); @p pipelined switches to the deferred tee path, where
- * the cell's producer streams into the cache file while the replay
- * consumes the same phases — each mode exercises different fault
- * boundaries.
- */
+/** One-cell grid on one thread; the cache (if any) fills in phase 1,
+ *  before the replay. */
 sim::ResultSet
-runGrid(const std::string &cache_dir, bool pipelined = false)
+runGrid(const std::string &cache_dir)
 {
     sim::Experiment e;
-    e.workload(kWorkload).schemes({protection::Scheme::NP});
-    if (pipelined)
-        e.threads(2).pipelined(true);
-    else
-        e.threads(1).pipelined(false);
+    e.workload(kWorkload).schemes({protection::Scheme::NP}).threads(1);
     if (!cache_dir.empty())
         e.traceCacheDir(cache_dir);
     return e.run();
@@ -366,8 +357,8 @@ TEST(ExperimentFault, CorruptCacheFileQuarantinedAndRegenerated)
     TempDir dir("corrupt");
     const sim::ResultSet baseline = runGrid("");
 
-    // Cold pipelined run publishes the cache file through the tee.
-    runGrid(dir.str(), /*pipelined=*/true);
+    // Cold run publishes the cache file.
+    runGrid(dir.str());
     auto traces = filesWithSuffix(dir.path, ".trace");
     ASSERT_EQ(traces.size(), 1u);
     const std::string pristine = slurp(traces[0]);
@@ -386,7 +377,7 @@ TEST(ExperimentFault, CorruptCacheFileQuarantinedAndRegenerated)
     // The warm run must detect it, quarantine, regenerate from the
     // kernel (republishing within the same run), and still produce
     // exact results.
-    const sim::ResultSet rs = runGrid(dir.str(), /*pipelined=*/true);
+    const sim::ResultSet rs = runGrid(dir.str());
     ASSERT_EQ(rs.records().size(), 1u);
     expectSameModelOutputs(rs.records()[0].result,
                            baseline.records()[0].result, "corrupt");
@@ -404,9 +395,56 @@ TEST(ExperimentFault, CorruptCacheFileQuarantinedAndRegenerated)
     EXPECT_EQ(slurp(traces[0]), pristine);
 
     // And a later run hits it cleanly.
-    const sim::ResultSet warm = runGrid(dir.str(), /*pipelined=*/true);
+    const sim::ResultSet warm = runGrid(dir.str());
     EXPECT_EQ(warm.traceCacheHits(), 1u);
     EXPECT_EQ(warm.traceCacheQuarantined(), 0u);
+}
+
+TEST(ExperimentFault, CorruptCacheFileRepairedOnceAcrossParallelCells)
+{
+    // Five schemes share one corrupt trace file on four threads: every
+    // cell must still be exact, and the file is quarantined,
+    // regenerated and republished exactly once, byte for byte.
+    FailpointGuard guard;
+    TempDir dir("corrupt-parallel");
+    const auto grid = [](const std::string &cache_dir) {
+        sim::Experiment e;
+        e.workload(kWorkload).schemes(sim::allSchemes()).threads(4);
+        if (!cache_dir.empty())
+            e.traceCacheDir(cache_dir);
+        return e.run();
+    };
+    const sim::ResultSet baseline = grid("");
+    grid(dir.str());
+    auto traces = filesWithSuffix(dir.path, ".trace");
+    ASSERT_EQ(traces.size(), 1u);
+    const std::string pristine = slurp(traces[0]);
+
+    std::string raw = pristine;
+    const std::size_t pos = raw.find('7', raw.size() / 2);
+    ASSERT_NE(pos, std::string::npos);
+    raw[pos] = '8';
+    {
+        std::ofstream out(traces[0],
+                          std::ios::binary | std::ios::trunc);
+        out << raw;
+    }
+
+    const sim::ResultSet rs = grid(dir.str());
+    ASSERT_EQ(rs.records().size(), 5u);
+    ASSERT_EQ(baseline.records().size(), 5u);
+    for (std::size_t i = 0; i < rs.records().size(); ++i)
+        expectSameModelOutputs(
+            rs.records()[i].result, baseline.records()[i].result,
+            protection::schemeName(rs.records()[i].key.scheme));
+    EXPECT_EQ(rs.traceCacheQuarantined(), 1u);
+    EXPECT_EQ(rs.traceCacheHits(), 0u);
+    EXPECT_EQ(rs.traceCacheMisses(), 1u);
+    EXPECT_FALSE(rs.cacheDegraded());
+    EXPECT_EQ(filesWithSuffix(dir.path, ".trace.bad").size(), 1u);
+    traces = filesWithSuffix(dir.path, ".trace");
+    ASSERT_EQ(traces.size(), 1u);
+    EXPECT_EQ(slurp(traces[0]), pristine);
 }
 
 TEST(ExperimentFault, EnospcPublishesNothingAndDegradesGracefully)

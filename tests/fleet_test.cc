@@ -8,7 +8,7 @@
  * real mgx_serve workers, SIGKILLs the owner of an in-flight cell
  * under sustained load, and requires every answered body to stay
  * byte-identical to the Experiment API reference (what
- * `mgx_run --no-pipeline --json` prints).
+ * `mgx_run --json` prints).
  */
 
 #include <gtest/gtest.h>
@@ -620,7 +620,7 @@ TEST(FleetIntegration, SigkillingOwnersNeverFailsOrDriftsARequest)
     const serve::SocketAddress addr{opts.proxy.listen.unixPath,
                                     "127.0.0.1", 0};
 
-    // The reference: exactly what mgx_run --no-pipeline --json emits
+    // The reference: exactly what mgx_run --json emits
     // for this grid.
     const std::string reference =
         sim::toJson(sim::Experiment()
@@ -628,7 +628,6 @@ TEST(FleetIntegration, SigkillingOwnersNeverFailsOrDriftsARequest)
                         .schemes({protection::Scheme::NP,
                                   protection::Scheme::BP})
                         .threads(1)
-                        .pipelined(false)
                         .run());
     const std::string target =
         "/run?workload=core%2Fmatmul&schemes=NP,BP";

@@ -320,14 +320,12 @@ TEST(ServerTest, RunMatchesExperimentApiByteForByte)
     ASSERT_EQ(resp.status, 200) << resp.body;
 
     // The same grid through the Experiment API the way mgx_run runs
-    // it (serial, unpipelined): the service's JSON must match byte
-    // for byte.
+    // it: the service's JSON must match byte for byte.
     sim::ResultSet rs = sim::Experiment()
                             .workload("core/matmul")
                             .schemes({protection::Scheme::NP,
                                       protection::Scheme::BP})
                             .threads(1)
-                            .pipelined(false)
                             .run();
     EXPECT_EQ(resp.body, sim::toJson(rs));
 
