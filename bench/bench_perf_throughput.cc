@@ -6,12 +6,15 @@
  * the modeled hardware — the companion of bench_micro's substrate
  * numbers and the source of the BENCH_perf.json trajectory artifact.
  *
- * Each (workload, scheme) cell generates the trace once, then replays
- * it through a fresh DramSystem + ProtectionEngine + PerfModel until
- * the wall-time budget is spent. Every replay of a trace is
- * deterministic, so the bench also asserts that repeated replays
- * produce identical cycle counts — a cheap self-check that the hot
- * path stays bitwise-stable while it is being optimized.
+ * Each (workload, scheme) cell replays one fresh phase source per rep
+ * through a fresh DramSystem + ProtectionEngine + PerfModel until the
+ * wall-time budget is spent. On the "replay" axis the source streams
+ * a trace generated once up front (core::TracePhaseSource), so the
+ * rep times the protection/DRAM hot path alone; on the "stream" axis
+ * it is a fresh kernel's stream, so generation is timed too. Every
+ * replay is deterministic, so the bench also asserts that repeated
+ * replays produce identical cycle counts — a cheap self-check that
+ * the hot path stays bitwise-stable while it is being optimized.
  *
  * Usage:
  *   bench_perf_throughput [--set micro|full] [--min-seconds S]
@@ -35,6 +38,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,7 +59,7 @@ struct CellResult
     std::string platform;
     protection::Scheme scheme = protection::Scheme::NP;
     /**
-     * Measurement axis: "replay" times the materialized hot path,
+     * Measurement axis: "replay" re-streams a trace generated once,
      * "stream" generates + replays per rep.
      */
     const char *mode = "replay";
@@ -111,48 +116,46 @@ measureCalibration()
     return cal;
 }
 
+/** Opens one fresh phase stream of the measured cell per rep. */
+using SourceFactory = std::function<std::unique_ptr<core::PhaseSource>()>;
+
 /**
- * Stream @p workload end to end (fresh kernel, pull-based replay, no
- * materialized trace) under @p scheme until the budget is spent — the
- * throughput of the streaming path, generation included.
+ * Replay a fresh source from @p open under @p scheme, each rep on a
+ * fresh DramSystem + ProtectionEngine + PerfModel, until the budget is
+ * spent. traceBytes is the stream's high-water mark; tracePhases is
+ * left 0 (nothing materialized).
  */
 CellResult
-measureStreamedCell(const std::string &workload,
-                    const sim::Platform &platform,
-                    protection::Scheme scheme, double min_seconds)
+measureCell(const std::string &workload, const sim::Platform &platform,
+            protection::Scheme scheme, const char *mode,
+            const SourceFactory &open, double min_seconds)
 {
     CellResult cell;
     cell.workload = workload;
     cell.platform = platform.name;
     cell.scheme = scheme;
-    cell.mode = "stream";
+    cell.mode = mode;
 
     protection::ProtectionConfig cfg;
     cfg.scheme = scheme;
 
     const auto t0 = Clock::now();
-    Cycles cycles = 0;
-    u64 lines = 0;
+    sim::RunResult first;
     u64 reps = 0;
     do {
         dram::DramSystem dram(platform.dram);
         protection::ProtectionEngine engine(cfg, &dram);
         sim::PerfModel model(&engine, platform.clockMhz);
-        auto kernel = sim::makeKernel(workload, platform);
-        auto source = kernel->stream();
+        auto source = open();
         const sim::RunResult r = model.run(*source);
         if (reps == 0) {
-            cycles = r.totalCycles;
-            lines = dram.accessCount();
-            cell.traceBytes = r.peakPhaseBytes; // stream high-water mark
-            cell.tracePhases = 0; // never materialized
-        } else if (cycles != r.totalCycles ||
-                   lines != dram.accessCount()) {
+            first = r;
+        } else if (first.totalCycles != r.totalCycles ||
+                   first.dramAccesses != r.dramAccesses) {
             std::fprintf(stderr,
                          "bench_perf_throughput: %s rep %llu of "
-                         "%s/%s diverged (nondeterministic stream!)\n",
-                         cell.mode,
-                         static_cast<unsigned long long>(reps),
+                         "%s/%s diverged (nondeterministic replay!)\n",
+                         mode, static_cast<unsigned long long>(reps),
                          workload.c_str(),
                          protection::schemeName(scheme));
             std::exit(1);
@@ -162,60 +165,11 @@ measureStreamedCell(const std::string &workload,
 
     cell.wallSeconds = secondsSince(t0);
     cell.replays = reps;
-    cell.linesPerReplay = lines;
-    cell.cyclesPerReplay = cycles;
-    cell.linesPerSecond = static_cast<double>(lines) *
+    cell.linesPerReplay = first.dramAccesses;
+    cell.cyclesPerReplay = first.totalCycles;
+    cell.linesPerSecond = static_cast<double>(first.dramAccesses) *
                           static_cast<double>(reps) / cell.wallSeconds;
-    return cell;
-}
-
-/** Replay @p trace under @p scheme until the time budget is spent. */
-CellResult
-measureCell(const std::string &workload, const sim::Platform &platform,
-            const core::Trace &trace, protection::Scheme scheme,
-            double min_seconds)
-{
-    CellResult cell;
-    cell.workload = workload;
-    cell.platform = platform.name;
-    cell.scheme = scheme;
-    cell.traceBytes = trace.memoryBytes();
-    cell.tracePhases = trace.size();
-
-    protection::ProtectionConfig cfg;
-    cfg.scheme = scheme;
-
-    const auto t0 = Clock::now();
-    Cycles cycles = 0;
-    u64 lines = 0;
-    u64 reps = 0;
-    do {
-        dram::DramSystem dram(platform.dram);
-        protection::ProtectionEngine engine(cfg, &dram);
-        sim::PerfModel model(&engine, platform.clockMhz);
-        const sim::RunResult r = model.run(trace);
-        if (reps == 0) {
-            cycles = r.totalCycles;
-            lines = dram.accessCount();
-        } else if (cycles != r.totalCycles ||
-                   lines != dram.accessCount()) {
-            std::fprintf(stderr,
-                         "bench_perf_throughput: replay %llu of %s/%s "
-                         "diverged (nondeterministic hot path!)\n",
-                         static_cast<unsigned long long>(reps),
-                         workload.c_str(),
-                         protection::schemeName(scheme));
-            std::exit(1);
-        }
-        ++reps;
-    } while (reps < 2 || secondsSince(t0) < min_seconds);
-
-    cell.wallSeconds = secondsSince(t0);
-    cell.replays = reps;
-    cell.linesPerReplay = lines;
-    cell.cyclesPerReplay = cycles;
-    cell.linesPerSecond = static_cast<double>(lines) *
-                          static_cast<double>(reps) / cell.wallSeconds;
+    cell.traceBytes = first.peakPhaseBytes;
     return cell;
 }
 
@@ -385,14 +339,27 @@ main(int argc, char **argv)
         const sim::Platform platform = sim::defaultPlatform(w);
         const core::Trace trace =
             sim::makeKernel(w, platform)->generate();
+        const SourceFactory replay = [&trace] {
+            return std::make_unique<core::TracePhaseSource>(trace);
+        };
+        // The stream borrows its kernel, so each rep's kernel lives
+        // until the next rep opens a fresh one.
+        std::unique_ptr<core::Kernel> kernel;
+        const SourceFactory stream = [&] {
+            kernel = sim::makeKernel(w, platform);
+            return kernel->stream();
+        };
         for (protection::Scheme s : spec.schemes) {
-            cells.push_back(
-                measureCell(w, platform, trace, s, min_seconds));
+            cells.push_back(measureCell(w, platform, s, "replay", replay,
+                                        min_seconds));
+            // The generated trace is resident for the whole cell.
+            cells.back().traceBytes = trace.memoryBytes();
+            cells.back().tracePhases = trace.size();
             printCell(cells.back());
         }
         for (protection::Scheme s : spec.streamedSchemes) {
-            cells.push_back(
-                measureStreamedCell(w, platform, s, min_seconds));
+            cells.push_back(measureCell(w, platform, s, "stream", stream,
+                                        min_seconds));
             printCell(cells.back());
         }
     }

@@ -12,12 +12,13 @@
  */
 
 #include <cstdio>
+#include <utility>
 
 #include "core/invariant_checker.h"
 #include "dnn/dnn_kernel.h"
 #include "dnn/models.h"
 #include "dnn/pruning.h"
-#include "sim/runner.h"
+#include "sim/experiment.h"
 
 int
 main()
@@ -36,7 +37,6 @@ main()
     // -- dynamic pruning density sweep ---------------------------------
     std::printf("%-10s %12s %12s %12s %10s\n", "density",
                 "data(MB)", "MGX", "BP", "invariant");
-    protection::ProtectionConfig base;
     for (double density : {1.0, 0.75, 0.5, 0.3}) {
         dnn::DnnKernel kernel(pruned, dnn::cloudAccel());
         if (density < 1.0) {
@@ -49,15 +49,21 @@ main()
 
         core::InvariantChecker checker;
         checker.observeTrace(trace);
+        const double data_mb =
+            static_cast<double>(core::traceDataBytes(trace)) / 1e6;
 
-        auto cmp = sim::compareSchemes(
-            trace, sim::cloudPlatform(), base,
-            {Scheme::NP, Scheme::MGX, Scheme::BP});
+        sim::ResultSet rs = sim::Experiment()
+                                .trace("pruned", std::move(trace))
+                                .platform(sim::cloudPlatform())
+                                .schemes({Scheme::NP, Scheme::MGX,
+                                          Scheme::BP})
+                                .run();
         std::printf("%-10.2f %12.1f %12.3f %12.3f %10s\n", density,
-                    static_cast<double>(core::traceDataBytes(trace)) /
-                        1e6,
-                    cmp.normalizedTime(Scheme::MGX),
-                    cmp.normalizedTime(Scheme::BP),
+                    data_mb,
+                    rs.normalizedTime("pruned", "Cloud", Scheme::MGX)
+                        .value(),
+                    rs.normalizedTime("pruned", "Cloud", Scheme::BP)
+                        .value(),
                     checker.report().ok ? "OK" : "VIOLATED");
     }
     std::printf("\nSkipped VNs are never reused, so dynamic pruning "

@@ -86,10 +86,10 @@ class TraceBuildSink final : public PhaseSink
 
 /**
  * Source over an already-materialized Trace: emits @p chunkPhases
- * phases per nextChunk() through one reused scratch Phase. Used to
- * feed trace files and edited traces into streaming consumers, and by
- * the chunk-boundary property tests (results must be invariant under
- * the chunk size).
+ * phases per nextChunk() through one reused scratch Phase. This is how
+ * explicit and edited traces reach the performance model, whose only
+ * entry point takes a PhaseSource; the chunk-boundary property tests
+ * use the chunk size (results must be invariant under it).
  */
 class TracePhaseSource final : public PhaseSource
 {

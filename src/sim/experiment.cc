@@ -189,20 +189,6 @@ ResultSet::schemes() const
     return ss;
 }
 
-SchemeComparison
-ResultSet::comparison(const std::string &workload,
-                      const std::string &platform) const
-{
-    SchemeComparison cmp;
-    for (const auto &r : records_)
-        if (r.key.workload == workload && r.key.platform == platform)
-            cmp.results[r.key.scheme] = r.result;
-    if (cmp.results.empty())
-        fatal("ResultSet has no runs of '%s' on '%s'",
-              workload.c_str(), platform.c_str());
-    return cmp;
-}
-
 Experiment &
 Experiment::workload(const std::string &name)
 {
@@ -502,10 +488,12 @@ Experiment::run() const
             outcomes[i] = fillCache(jobs[i]);
     });
 
-    // Phase 2: simulate every cell on fresh per-cell state. Registry
-    // cells pull phases from the cache file (when caching) or from
-    // their own fresh kernel — deterministic either way, so the two
-    // are bitwise-identical on every model output.
+    // Phase 2: simulate every cell on fresh per-cell state, each
+    // through one PerfModel::run(PhaseSource&). Explicit traces stream
+    // out of their arena; registry cells pull phases from the cache
+    // file (when caching) or from their own fresh kernel —
+    // deterministic either way, so the two are bitwise-identical on
+    // every RunResult field.
     //
     // A cache file that fails verification is repaired once per job,
     // under that job's mutex: the first cell to see it quarantines the
@@ -521,24 +509,19 @@ Experiment::run() const
         // Model state is built fresh per simulation attempt: when a
         // cached replay dies mid-stream on a corrupt file, the retry
         // must not inherit half-replayed DRAM or metadata state.
-        const auto simulate = [&](const auto &replay) {
+        const auto simulate = [&](core::PhaseSource &source) {
             dram::DramSystem dram(cell.platform.dram);
             protection::ProtectionConfig cfg = config_;
             cfg.scheme = cell.scheme;
             protection::ProtectionEngine engine(cfg, &dram);
             PerfModel model(&engine, cell.platform.clockMhz);
-            results[i] = replay(model);
+            results[i] = model.run(source);
         };
         if (job.explicitTrace != nullptr) {
-            simulate([&](PerfModel &model) {
-                return model.run(*job.explicitTrace);
-            });
+            core::TracePhaseSource source(*job.explicitTrace);
+            simulate(source);
             return;
         }
-        const auto simulateStream = [&](core::PhaseSource &source) {
-            simulate(
-                [&](PerfModel &model) { return model.run(source); });
-        };
         if (!cacheDir.empty()) {
             // The cache is shared across processes, so another run's
             // eviction may have deleted the file since phase 1 touched
@@ -554,7 +537,7 @@ Experiment::run() const
                 if (!source)
                     return std::nullopt; // gone: stream the kernel
                 try {
-                    simulateStream(*source);
+                    simulate(*source);
                     return true;
                 } catch (const TraceIoError &) {
                     return false; // failed verification
@@ -577,7 +560,7 @@ Experiment::run() const
                 return;
         }
         auto kernel = makeKernel(job.name, job.platform);
-        simulateStream(*kernel->stream());
+        simulate(*kernel->stream());
     });
 
     if (!cacheDir.empty() && traceCacheMaxBytes_ > 0)

@@ -15,14 +15,16 @@
  * Each grid cell simulates on a fresh DramSystem/ProtectionEngine, so
  * cells are independent and run embarrassingly parallel.
  *
- * Registry workloads run through the streaming phase pipeline: each
- * cell pulls phases straight off a fresh kernel (or off
- * the on-disk trace cache, which phase 1 populates by streaming the
- * kernel once per traceCacheKey() without materializing), so memory
- * stays bounded by one phase regardless of workload size —
- * RunResult::peakPhaseBytes reports the high-water mark. Explicit
- * traces added with trace() replay from memory. Results are
- * deterministic and independent of the thread count.
+ * Every cell replays through PerfModel::run(PhaseSource&). Registry
+ * cells pull phases straight off a fresh kernel (or off the on-disk
+ * trace cache, which phase 1 populates by streaming the kernel once
+ * per traceCacheKey() without materializing), so memory stays bounded
+ * by one phase regardless of workload size — RunResult::peakPhaseBytes
+ * reports the high-water mark. Explicit traces added with trace()
+ * stream out of their arena through core::TracePhaseSource, so they
+ * report the same footprint fields as a registry cell of the same
+ * phases. Results are deterministic and independent of the thread
+ * count.
  */
 
 #ifndef MGX_SIM_EXPERIMENT_H
@@ -135,13 +137,6 @@ class ResultSet
     /** Schemes in first-seen order. */
     std::vector<protection::Scheme> schemes() const;
 
-    /**
-     * Legacy bridge: the (workload, platform) slice as a
-     * SchemeComparison. Fatal if no such cells exist.
-     */
-    SchemeComparison comparison(const std::string &workload,
-                                const std::string &platform) const;
-
   private:
     std::vector<RunRecord> records_;
     u64 traceCacheHits_ = 0;
@@ -192,9 +187,7 @@ class Experiment
      * separate process — that needs the same trace deserializes it
      * instead of re-running the kernel. Equal keys guarantee equal
      * traces, so a cached cell is bit-identical to a generated one on
-     * every model output (cycles, traffic, access counts); only the
-     * trace-footprint fields (RunResult::traceBytes, peakPhaseBytes) —
-     * which describe how the trace was held in memory — may differ.
+     * every RunResult field, the trace-footprint fields included.
      * Explicit traces added with trace() are never cached. Cache hits
      * refresh the file's mtime, so the LRU size cap (see
      * traceCacheMaxBytes) evicts the least recently *used* trace.

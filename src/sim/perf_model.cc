@@ -36,38 +36,6 @@ PerfModel::step(Replay &rep, Cycles compute_cycles,
     rep.computeTotal += compute;
 }
 
-RunResult
-PerfModel::finish(const Replay &rep, u64 trace_bytes,
-                  u64 peak_phase_bytes)
-{
-    const Cycles flushed = engine_->flush(rep.memFree);
-    RunResult result;
-    result.totalCycles = std::max(rep.computeDone, flushed);
-    result.computeCycles = rep.computeTotal;
-    result.memoryCycles = rep.memBusy;
-    result.traffic = engine_->traffic();
-    result.dramAccesses = engine_->dram().accessCount();
-    result.logicalAccesses = engine_->logicalAccesses();
-    result.traceBytes = trace_bytes;
-    result.peakPhaseBytes = peak_phase_bytes;
-    result.metaCacheHits = engine_->metaCache().hits();
-    result.metaCacheMisses = engine_->metaCache().misses();
-    result.metaCacheWritebacks = engine_->metaCache().writebacks();
-    result.seconds =
-        static_cast<double>(result.totalCycles) / (ctrlMhz_ * 1e6);
-    return result;
-}
-
-RunResult
-PerfModel::run(const core::Trace &trace)
-{
-    Replay rep;
-    for (const auto &phase : trace)
-        step(rep, phase.computeCycles, phase.accesses);
-    // The whole trace is resident while it replays.
-    return finish(rep, trace.memoryBytes(), trace.memoryBytes());
-}
-
 /** Feeds each streamed phase into step() the moment it arrives. */
 class PerfModel::StreamSink final : public core::PhaseSink
 {
@@ -103,7 +71,23 @@ PerfModel::run(core::PhaseSource &source)
     Replay rep;
     StreamSink sink(*this, rep);
     source.drainTo(sink);
-    return finish(rep, sink.streamedBytes(), sink.peakBytes());
+
+    const Cycles flushed = engine_->flush(rep.memFree);
+    RunResult result;
+    result.totalCycles = std::max(rep.computeDone, flushed);
+    result.computeCycles = rep.computeTotal;
+    result.memoryCycles = rep.memBusy;
+    result.traffic = engine_->traffic();
+    result.dramAccesses = engine_->dram().accessCount();
+    result.logicalAccesses = engine_->logicalAccesses();
+    result.traceBytes = sink.streamedBytes();
+    result.peakPhaseBytes = sink.peakBytes();
+    result.metaCacheHits = engine_->metaCache().hits();
+    result.metaCacheMisses = engine_->metaCache().misses();
+    result.metaCacheWritebacks = engine_->metaCache().writebacks();
+    result.seconds =
+        static_cast<double>(result.totalCycles) / (ctrlMhz_ * 1e6);
+    return result;
 }
 
 } // namespace mgx::sim

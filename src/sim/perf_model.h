@@ -15,11 +15,10 @@
  *
  * Total time is max(e_N, c_N) plus the final metadata flush.
  *
- * Two entry points share one per-phase step, so they are
- * bitwise-identical by construction: run(const Trace&) replays a
- * materialized trace, run(PhaseSource&) pulls phases straight off a
- * producer (a streaming kernel or trace file) and never holds more
- * than the producer's chunk in memory — the peak is reported as
+ * One entry point, run(PhaseSource&), pulls phases straight off a
+ * producer — a streaming kernel, a trace file, or a materialized
+ * Trace wrapped in core::TracePhaseSource — and never holds more than
+ * the producer's chunk in memory; the peak is reported as
  * RunResult::peakPhaseBytes.
  */
 
@@ -43,11 +42,10 @@ struct RunResult
     protection::TrafficBreakdown traffic;
     u64 dramAccesses = 0;     ///< 64 B DRAM requests actually issued
     u64 logicalAccesses = 0;  ///< kernel-level requests into the engine
-    u64 traceBytes = 0;       ///< trace footprint: resident (materialized
-                              ///< replay) or cumulative-streamed estimate
+    u64 traceBytes = 0;       ///< arena bytes a materialization of the
+                              ///< replayed stream would hold
     u64 peakPhaseBytes = 0;   ///< high-water mark of phase bytes buffered
-                              ///< at once (streamed: one chunk; whole
-                              ///< trace when materialized)
+                              ///< at once (the largest single phase)
     u64 metaCacheHits = 0;       ///< metadata-cache hits (BP/MGX_MAC)
     u64 metaCacheMisses = 0;     ///< metadata-cache misses
     u64 metaCacheWritebacks = 0; ///< dirty metadata evictions
@@ -77,14 +75,10 @@ class PerfModel
     PerfModel(protection::ProtectionEngine *engine, double accel_mhz,
               double ctrl_mhz = 1200.0);
 
-    /** Simulate @p trace from cycle 0; returns the aggregate result. */
-    RunResult run(const core::Trace &trace);
-
     /**
      * Simulate a phase stream from cycle 0, consuming chunks as the
-     * producer emits them. Identical cycle/traffic results to running
-     * the materialized equivalent; memory stays bounded by the
-     * producer's chunk (RunResult::peakPhaseBytes).
+     * producer emits them; returns the aggregate result. Memory stays
+     * bounded by the producer's chunk (RunResult::peakPhaseBytes).
      */
     RunResult run(core::PhaseSource &source);
 
@@ -103,10 +97,6 @@ class PerfModel
     /** Replay one phase: the serialized memory stream + overlap rule. */
     void step(Replay &rep, Cycles compute_cycles,
               std::span<const core::LogicalAccess> accesses);
-
-    /** Flush the engine and package the aggregate result. */
-    RunResult finish(const Replay &rep, u64 trace_bytes,
-                     u64 peak_phase_bytes);
 
     /** Convert accelerator cycles to controller cycles (rounding up). */
     Cycles toCtrl(Cycles accel_cycles) const;

@@ -125,8 +125,8 @@ printTable(const ResultSet &rs, std::FILE *out)
             std::fprintf(out, "%10.3f ", *traffic);
         else
             std::fprintf(out, "%10s ", "n/a");
-        // The replay's phase-buffer high-water mark: one chunk when
-        // streamed, the whole trace when materialized.
+        // The replay's phase-buffer high-water mark: the largest
+        // single phase the cell's source handed the model.
         std::fprintf(out, "%10.1f\n",
                      static_cast<double>(r.result.peakPhaseBytes) /
                          1024.0);

@@ -1,52 +1,6 @@
 #include "runner.h"
 
-#include <cassert>
-
-#include "experiment.h"
-
 namespace mgx::sim {
-
-double
-SchemeComparison::normalizedTime(protection::Scheme s) const
-{
-    auto np = results.find(protection::Scheme::NP);
-    auto it = results.find(s);
-    assert(np != results.end() &&
-           "SchemeComparison: no NP baseline was run");
-    assert(it != results.end() &&
-           "SchemeComparison: scheme was not run");
-    assert(np->second.totalCycles != 0);
-    return static_cast<double>(it->second.totalCycles) /
-           static_cast<double>(np->second.totalCycles);
-}
-
-double
-SchemeComparison::trafficIncrease(protection::Scheme s) const
-{
-    auto np = results.find(protection::Scheme::NP);
-    auto it = results.find(s);
-    assert(np != results.end() &&
-           "SchemeComparison: no NP baseline was run");
-    assert(it != results.end() &&
-           "SchemeComparison: scheme was not run");
-    assert(np->second.traffic.totalBytes() != 0);
-    return static_cast<double>(it->second.traffic.totalBytes()) /
-           static_cast<double>(np->second.traffic.totalBytes());
-}
-
-SchemeComparison
-compareSchemes(const core::Trace &trace, const Platform &platform,
-               const protection::ProtectionConfig &base,
-               const std::vector<protection::Scheme> &schemes)
-{
-    ResultSet rs = Experiment()
-                       .trace("trace", trace)
-                       .platform(platform)
-                       .schemes(schemes)
-                       .config(base)
-                       .run();
-    return rs.comparison("trace", platform.name);
-}
 
 std::vector<protection::Scheme>
 allSchemes()

@@ -182,7 +182,11 @@ class TraceParser
             ss >> rw >> std::hex >> acc.addr >> std::dec >> acc.bytes >>
                 cls >> std::hex >> acc.vn >> std::dec >>
                 acc.macGranularity;
-            if (ss.fail() || (rw != 'r' && rw != 'w'))
+            // A zero-length range has no last byte, and one whose end
+            // (addr + bytes) wraps past 2^64 has no block span: every
+            // consumer computes both.
+            if (ss.fail() || (rw != 'r' && rw != 'w') ||
+                acc.bytes == 0 || acc.bytes > ~acc.addr)
                 raise("trace line %u: malformed access", lineNo_);
             acc.type = rw == 'w' ? AccessType::Write : AccessType::Read;
             acc.cls = classFromToken(cls, lineNo_);

@@ -1,9 +1,9 @@
 /**
  * @file
  * Experiment-API tests: registry round trip (every listed workload
- * constructs and generates a non-empty trace), experiment /
- * compareSchemes equivalence (bitwise-identical results, serial and
- * parallel), explicit missing-baseline reporting, and the JSON golden.
+ * constructs and generates a non-empty trace), explicit-trace /
+ * registry equivalence (byte-identical JSON, serial and parallel),
+ * explicit missing-baseline reporting, and the JSON golden.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 namespace mgx::sim {
 namespace {
 
-using protection::ProtectionConfig;
 using protection::Scheme;
 
 // ---------------------------------------------------------------------
@@ -85,36 +84,30 @@ TEST(Registry, DefaultPlatformsMatchThePaper)
 }
 
 // ---------------------------------------------------------------------
-// Experiment vs compareSchemes equivalence
+// Explicit traces vs registry workloads
 // ---------------------------------------------------------------------
 
-TEST(Experiment, MatchesCompareSchemesBitwise)
+TEST(Experiment, ExplicitTraceMatchesRegistryBytes)
 {
-    const std::string w = "core/matmul?m=256&n=256&k=256";
-    core::Trace trace = makeKernel(w)->generate();
-    ProtectionConfig base;
-    SchemeComparison legacy =
-        compareSchemes(trace, edgePlatform(), base, allSchemes());
-
-    for (u32 threads : {1u, 4u}) {
-        ResultSet rs = Experiment()
-                           .workload(w)
-                           .platform(edgePlatform())
-                           .schemes(allSchemes())
-                           .config(base)
+    // An explicit trace streams through the same PerfModel::run as a
+    // registry cell, so the generated trace of a workload must give
+    // the registry cell's JSON bytes exactly, footprint fields
+    // included, serial and parallel.
+    for (const std::string w :
+         {"core/matmul?m=256&n=256&k=256", "video/h264?frames=4",
+          "genome/chr1PacBio?reads=2", "dnn/MobileNet"}) {
+        const Platform p = defaultPlatform(w);
+        const std::string registry =
+            toJson(Experiment().workload(w).platform(p).threads(1).run());
+        for (u32 threads : {1u, 4u}) {
+            const std::string explicit_trace =
+                toJson(Experiment()
+                           .trace(w, makeKernel(w, p)->generate())
+                           .platform(p)
                            .threads(threads)
-                           .run();
-        ASSERT_EQ(rs.records().size(), allSchemes().size());
-        for (Scheme s : allSchemes()) {
-            const RunResult *r = rs.find(w, "Edge", s);
-            ASSERT_NE(r, nullptr);
-            EXPECT_EQ(r->totalCycles, legacy.results[s].totalCycles)
-                << "threads=" << threads;
-            EXPECT_EQ(r->traffic.totalBytes(),
-                      legacy.results[s].traffic.totalBytes())
-                << "threads=" << threads;
-            EXPECT_EQ(r->dramAccesses, legacy.results[s].dramAccesses)
-                << "threads=" << threads;
+                           .run());
+            EXPECT_EQ(explicit_trace, registry)
+                << w << " threads=" << threads;
         }
     }
 }
@@ -199,14 +192,6 @@ TEST(ExperimentDeathTest, DuplicateTraceLabelsAreFatal)
                      .schemes({Scheme::NP})
                      .run(),
                  "two different traces");
-}
-
-TEST(ResultSetDeathTest, LegacyWrapperAssertsOnMissingBaseline)
-{
-    SchemeComparison cmp;
-    cmp.results[Scheme::MGX] = RunResult{};
-    EXPECT_DEATH(cmp.normalizedTime(Scheme::MGX), "baseline");
-    EXPECT_DEATH(cmp.trafficIncrease(Scheme::MGX), "baseline");
 }
 
 TEST(ResultSetTest, GridOrderIsDeterministic)

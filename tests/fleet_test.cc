@@ -610,8 +610,7 @@ TEST(FleetIntegration, SigkillingOwnersNeverFailsOrDriftsARequest)
     opts.supervisor.restartBackoffMs = 50;
     // No shared trace cache here on purpose: every run regenerates
     // its trace, so any worker's answer is bitwise-reproducible
-    // against the local reference (a deserialized cached trace may
-    // legitimately differ in traceBytes; the chaos bench covers the
+    // against the local reference (the chaos bench covers the
     // shared-cache configuration).
     opts.proxy.listen.unixPath = testSocketPath("integ-proxy");
     opts.proxy.failoverPauseMs = 50;

@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/matmul_kernel.h"
@@ -23,36 +25,60 @@
 #include "graph/graph_gen.h"
 #include "graph/graph_kernel.h"
 #include "protection/secure_memory.h"
-#include "sim/runner.h"
+#include "sim/experiment.h"
 
 namespace mgx {
 namespace {
 
-using protection::ProtectionConfig;
 using protection::Scheme;
-using sim::SchemeComparison;
+
+/** Every scheme's run of one explicit trace, read through ResultSet. */
+struct TraceGrid
+{
+    sim::ResultSet rs;
+    std::string platform;
+
+    double
+    normalizedTime(Scheme s) const
+    {
+        return rs.normalizedTime("trace", platform, s).value();
+    }
+
+    double
+    trafficIncrease(Scheme s) const
+    {
+        return rs.trafficIncrease("trace", platform, s).value();
+    }
+};
+
+TraceGrid
+runAllSchemes(core::Trace trace, const sim::Platform &platform)
+{
+    return {sim::Experiment()
+                .trace("trace", std::move(trace))
+                .platform(platform)
+                .schemes(sim::allSchemes())
+                .run(),
+            platform.name};
+}
 
 // -- DNN end-to-end -------------------------------------------------------------
 
-SchemeComparison
+TraceGrid
 runDnn(const dnn::Model &model, dnn::DnnTask task, bool edge)
 {
     dnn::DnnKernel kernel(model, edge ? dnn::edgeAccel()
                                       : dnn::cloudAccel(),
                           task);
-    core::Trace trace = kernel.generate();
-    ProtectionConfig base;
-    return sim::compareSchemes(trace,
-                               edge ? sim::edgePlatform()
-                                    : sim::cloudPlatform(),
-                               base, sim::allSchemes());
+    return runAllSchemes(kernel.generate(), edge ? sim::edgePlatform()
+                                                 : sim::cloudPlatform());
 }
 
 TEST(IntegrationDnn, AlexNetCloudInferenceOverheads)
 {
     // Cloud is memory-bound (600+ MACs/byte roofline), so protection
     // overhead shows up fully in execution time there.
-    SchemeComparison cmp =
+    TraceGrid cmp =
         runDnn(dnn::alexnet(), dnn::DnnTask::Inference, false);
     const double mgx = cmp.normalizedTime(Scheme::MGX);
     const double bp = cmp.normalizedTime(Scheme::BP);
@@ -67,9 +93,9 @@ TEST(IntegrationDnn, EdgeComputeBoundHidesMoreOverhead)
 {
     // The Edge config has 64x fewer PEs: compute hides a larger share
     // of the metadata traffic, so BP's slowdown shrinks vs Cloud.
-    SchemeComparison edge =
+    TraceGrid edge =
         runDnn(dnn::alexnet(), dnn::DnnTask::Inference, true);
-    SchemeComparison cloud =
+    TraceGrid cloud =
         runDnn(dnn::alexnet(), dnn::DnnTask::Inference, false);
     EXPECT_LT(edge.normalizedTime(Scheme::BP),
               cloud.normalizedTime(Scheme::BP));
@@ -78,7 +104,7 @@ TEST(IntegrationDnn, EdgeComputeBoundHidesMoreOverhead)
 
 TEST(IntegrationDnn, ResNetCloudTrainingOrdering)
 {
-    SchemeComparison cmp =
+    TraceGrid cmp =
         runDnn(dnn::resnet50(), dnn::DnnTask::Training, false);
     EXPECT_LT(cmp.normalizedTime(Scheme::MGX),
               cmp.normalizedTime(Scheme::BP));
@@ -89,9 +115,9 @@ TEST(IntegrationDnn, ResNetCloudTrainingOrdering)
 TEST(IntegrationDnn, DlrmIsWorstCaseForBaseline)
 {
     // DLRM's random embedding gathers defeat the VN/MAC cache.
-    SchemeComparison dlrm =
+    TraceGrid dlrm =
         runDnn(dnn::dlrm(1u << 18, 64), dnn::DnnTask::Inference, false);
-    SchemeComparison vgg =
+    TraceGrid vgg =
         runDnn(dnn::vgg16(), dnn::DnnTask::Inference, false);
     EXPECT_GT(dlrm.trafficIncrease(Scheme::BP),
               vgg.trafficIncrease(Scheme::BP));
@@ -106,10 +132,8 @@ TEST(IntegrationGraph, PageRankOverheadOrdering)
         graph::buildTiles(spec, 1 << 17, 1 << 17, 3);
     graph::GraphKernel kernel(tiles, graph::GraphAlgorithm::PageRank,
                               3);
-    core::Trace trace = kernel.generate();
-    ProtectionConfig base;
-    SchemeComparison cmp = sim::compareSchemes(
-        trace, sim::graphPlatform(), base, sim::allSchemes());
+    TraceGrid cmp =
+        runAllSchemes(kernel.generate(), sim::graphPlatform());
 
     const double mgx = cmp.normalizedTime(Scheme::MGX);
     const double bp = cmp.normalizedTime(Scheme::BP);

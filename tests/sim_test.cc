@@ -1,13 +1,13 @@
 /**
  * @file
  * Performance-model and runner tests: compute/memory overlap, clock
- * conversion, scheme comparison plumbing, and platform definitions.
+ * conversion, scheme-grid plumbing, and platform definitions.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/matmul_kernel.h"
-#include "sim/runner.h"
+#include "sim/experiment.h"
 
 namespace mgx::sim {
 namespace {
@@ -45,7 +45,8 @@ runNp(const Trace &trace, double accel_mhz = 1200.0)
     cfg.scheme = Scheme::NP;
     protection::ProtectionEngine engine(cfg, &dram);
     PerfModel model(&engine, accel_mhz);
-    return model.run(trace);
+    core::TracePhaseSource source(trace);
+    return model.run(source);
 }
 
 TEST(PerfModel, ComputeBoundWorkloadHidesMemory)
@@ -98,16 +99,21 @@ TEST(Runner, CompareSchemesNormalizes)
     core::MatMulKernel kernel(params);
     Trace trace = kernel.generate();
 
-    ProtectionConfig base;
-    SchemeComparison cmp =
-        compareSchemes(trace, edgePlatform(), base, allSchemes());
-    ASSERT_EQ(cmp.results.size(), 5u);
-    EXPECT_DOUBLE_EQ(cmp.normalizedTime(Scheme::NP), 1.0);
-    EXPECT_GE(cmp.normalizedTime(Scheme::MGX), 1.0);
-    EXPECT_GE(cmp.normalizedTime(Scheme::BP),
-              cmp.normalizedTime(Scheme::MGX));
-    EXPECT_GT(cmp.trafficIncrease(Scheme::BP),
-              cmp.trafficIncrease(Scheme::MGX));
+    ResultSet rs = Experiment()
+                       .trace("mm", std::move(trace))
+                       .platform(edgePlatform())
+                       .run();
+    ASSERT_EQ(rs.records().size(), 5u);
+    const auto time = [&](Scheme s) {
+        return rs.normalizedTime("mm", "Edge", s).value();
+    };
+    const auto traffic = [&](Scheme s) {
+        return rs.trafficIncrease("mm", "Edge", s).value();
+    };
+    EXPECT_DOUBLE_EQ(time(Scheme::NP), 1.0);
+    EXPECT_GE(time(Scheme::MGX), 1.0);
+    EXPECT_GE(time(Scheme::BP), time(Scheme::MGX));
+    EXPECT_GT(traffic(Scheme::BP), traffic(Scheme::MGX));
 }
 
 TEST(Runner, PlatformDefinitionsMatchPaper)
@@ -121,17 +127,22 @@ TEST(Runner, PlatformDefinitionsMatchPaper)
 
 TEST(Runner, FreshStatePerScheme)
 {
-    // Two identical compareSchemes calls must agree exactly: no state
-    // leaks between runs.
-    Trace trace = syntheticTrace(4, 1000, 1 << 20);
-    ProtectionConfig base;
-    SchemeComparison a =
-        compareSchemes(trace, edgePlatform(), base, trafficSchemes());
-    SchemeComparison b =
-        compareSchemes(trace, edgePlatform(), base, trafficSchemes());
+    // Two identical experiments must agree exactly: no state leaks
+    // between runs.
+    const auto run = [] {
+        return Experiment()
+            .trace("t", syntheticTrace(4, 1000, 1 << 20))
+            .platform(edgePlatform())
+            .schemes(trafficSchemes())
+            .run();
+    };
+    const ResultSet a = run();
+    const ResultSet b = run();
     for (auto scheme : trafficSchemes()) {
-        EXPECT_EQ(a.results[scheme].totalCycles,
-                  b.results[scheme].totalCycles);
+        ASSERT_NE(a.find("t", "Edge", scheme), nullptr);
+        ASSERT_NE(b.find("t", "Edge", scheme), nullptr);
+        EXPECT_EQ(a.find("t", "Edge", scheme)->totalCycles,
+                  b.find("t", "Edge", scheme)->totalCycles);
     }
 }
 

@@ -50,7 +50,8 @@ runMaterialized(const std::string &workload, Scheme scheme)
     cfg.scheme = scheme;
     ProtectionEngine engine(cfg, &dram);
     PerfModel model(&engine, platform.clockMhz);
-    return model.run(trace);
+    core::TracePhaseSource source(trace);
+    return model.run(source);
 }
 
 RunResult
@@ -67,7 +68,7 @@ runStreamed(const std::string &workload, Scheme scheme)
     return model.run(*source);
 }
 
-/** Every model output must match; the footprint fields may not. */
+/** Every RunResult field must match, the footprint fields included. */
 void
 expectModelOutputsEqual(const RunResult &a, const RunResult &b,
                         const std::string &label)
@@ -86,6 +87,8 @@ expectModelOutputsEqual(const RunResult &a, const RunResult &b,
     EXPECT_EQ(a.metaCacheMisses, b.metaCacheMisses) << label;
     EXPECT_EQ(a.metaCacheWritebacks, b.metaCacheWritebacks) << label;
     EXPECT_EQ(a.seconds, b.seconds) << label;
+    EXPECT_EQ(a.traceBytes, b.traceBytes) << label;
+    EXPECT_EQ(a.peakPhaseBytes, b.peakPhaseBytes) << label;
 }
 
 // ---------------------------------------------------------------------
@@ -110,8 +113,10 @@ TEST(Streaming, StreamedReplayMatchesMaterializedAllDomains)
 {
     // BP exercises the metadata cache (hits/misses/writebacks) and
     // MGX the VN expansion path; both must be bitwise-identical
-    // between the two replay paths in every domain.
+    // between a fresh kernel's stream and its generated trace
+    // streamed back out of the arena, in every domain.
     for (const char *workload : kDomainWorkloads) {
+        const u64 resident = makeKernel(workload)->generate().memoryBytes();
         for (Scheme scheme : {Scheme::NP, Scheme::MGX, Scheme::BP}) {
             const RunResult mat = runMaterialized(workload, scheme);
             const RunResult str = runStreamed(workload, scheme);
@@ -124,8 +129,7 @@ TEST(Streaming, StreamedReplayMatchesMaterializedAllDomains)
             // by construction never above the cumulative stream.
             EXPECT_GT(str.peakPhaseBytes, 0u) << workload;
             EXPECT_LE(str.peakPhaseBytes, str.traceBytes) << workload;
-            EXPECT_LT(str.peakPhaseBytes, mat.peakPhaseBytes)
-                << workload;
+            EXPECT_LT(str.peakPhaseBytes, resident) << workload;
         }
     }
 }
@@ -210,7 +214,8 @@ TEST(Streaming, FileRoundTripMatchesMaterializedWriter)
     cfg.scheme = Scheme::BP;
     ProtectionEngine engine_a(cfg, &dram_a);
     PerfModel model_a(&engine_a, platform.clockMhz);
-    const RunResult mat = model_a.run(trace);
+    core::TracePhaseSource trace_source(trace);
+    const RunResult mat = model_a.run(trace_source);
 
     dram::DramSystem dram_b(platform.dram);
     ProtectionEngine engine_b(cfg, &dram_b);
