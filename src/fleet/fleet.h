@@ -3,7 +3,8 @@
  * The fleet facade: one object that owns the Supervisor (N forked
  * mgx_serve workers on unix sockets, shared trace cache) and the
  * Proxy (consistent-hash routing + failover front end), wired
- * together. mgx_fleet and bench_serve_load --fleet drive this.
+ * together. mgx_fleet, the `serve` benchmark workload and
+ * FleetIntegration in tests/fleet_test.cc drive this.
  */
 
 #ifndef MGX_FLEET_FLEET_H
@@ -20,9 +21,6 @@ struct FleetOptions
 {
     SupervisorOptions supervisor;
     ProxyOptions proxy;
-    /// How long start() waits for the first worker to answer
-    /// /healthz before serving anyway (workers may still be warming).
-    int readyTimeoutMs = 10000;
 };
 
 class Fleet

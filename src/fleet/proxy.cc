@@ -16,6 +16,11 @@ failpoint::Point &fpBackendConnect =
 failpoint::Point &fpBackendReset =
     failpoint::Point::get("fleet.backend.reset");
 
+/// One backend attempt's budget: a cold cell can simulate for a while.
+constexpr int kBackendTimeoutMs = 120000;
+/// Sweeps over the ring's failover order before answering 503.
+constexpr int kFailoverPasses = 3;
+
 std::string
 trimmed(std::string s)
 {
@@ -31,7 +36,6 @@ using serve::jsonError;
 
 Proxy::Proxy(ProxyOptions opts, BackendDirectory *directory)
     : opts_(std::move(opts)), directory_(directory),
-      ring_(opts_.ringVnodes),
       front_("mgx_fleet", opts_,
              [this](const serve::HttpRequest &req, int *status) {
                  return handleRequest(req, status);
@@ -56,10 +60,6 @@ void
 Proxy::shutdown()
 {
     front_.shutdown();
-    // Hedge losers may still be in flight; they reference this
-    // object, so outlive them before tearing anything down.
-    while (bgOps_.load(std::memory_order_relaxed) != 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
     std::lock_guard<std::mutex> lock(poolmu_);
     pool_.clear(); // closes every pooled backend connection
 }
@@ -164,7 +164,7 @@ Proxy::fetchFromBackend(const std::string &name,
     }
     auto conn = checkoutConnection(name);
     a.ok = conn->get(target, &a.response, &a.error,
-                     opts_.backendTimeoutMs, &a.failure);
+                     kBackendTimeoutMs, &a.failure);
     if (a.ok && fpBackendReset.fire()) {
         // Simulated worker death after it sent part of the body: the
         // full response is discarded — the client must never see a
@@ -185,74 +185,6 @@ Proxy::fetchFromBackend(const std::string &name,
     return a;
 }
 
-Proxy::BackendAttempt
-Proxy::fetchWithHedge(const std::vector<std::string> &order,
-                      std::size_t primary, const std::string &target)
-{
-    struct State
-    {
-        std::mutex mu;
-        std::condition_variable cv;
-        int outstanding = 0;
-        bool haveOk = false;
-        bool okFromHedge = false;
-        BackendAttempt ok;
-        BackendAttempt lastFail;
-    };
-    auto st = std::make_shared<State>();
-
-    const auto launch = [this, st, target](const std::string &name,
-                                           bool is_hedge) {
-        {
-            std::lock_guard<std::mutex> lock(st->mu);
-            ++st->outstanding;
-        }
-        bgOps_.fetch_add(1, std::memory_order_relaxed);
-        std::thread([this, st, target, name, is_hedge] {
-            BackendAttempt a = fetchFromBackend(name, target);
-            {
-                std::lock_guard<std::mutex> lock(st->mu);
-                --st->outstanding;
-                if (a.ok && !st->haveOk) {
-                    st->haveOk = true;
-                    st->okFromHedge = is_hedge;
-                    st->ok = std::move(a);
-                } else if (!a.ok) {
-                    st->lastFail = std::move(a);
-                }
-            }
-            st->cv.notify_all();
-            bgOps_.fetch_sub(1, std::memory_order_relaxed);
-        }).detach();
-    };
-
-    launch(order[primary], false);
-    std::unique_lock<std::mutex> lock(st->mu);
-    st->cv.wait_for(lock, std::chrono::milliseconds(opts_.hedgeMs),
-                    [&] {
-                        return st->haveOk || st->outstanding == 0;
-                    });
-    if (!st->haveOk && st->outstanding > 0 &&
-        primary + 1 < order.size()) {
-        // The owner is slow; race the next candidate against it.
-        metrics_.hedgesLaunched.fetch_add(1,
-                                          std::memory_order_relaxed);
-        lock.unlock();
-        launch(order[primary + 1], true);
-        lock.lock();
-    }
-    st->cv.wait(lock, [&] {
-        return st->haveOk || st->outstanding == 0;
-    });
-    if (st->haveOk) {
-        if (st->okFromHedge)
-            metrics_.hedgeWins.fetch_add(1,
-                                         std::memory_order_relaxed);
-        return st->ok;
-    }
-    return st->lastFail;
-}
-
 std::string
 Proxy::handleRun(const serve::HttpRequest &req, int *status_out)
 {
@@ -267,8 +199,7 @@ Proxy::handleRun(const serve::HttpRequest &req, int *status_out)
 
     std::string last_error = "no attempt made";
     int attempts = 0;
-    for (int pass = 0; pass < std::max(1, opts_.failoverPasses);
-         ++pass) {
+    for (int pass = 0; pass < kFailoverPasses; ++pass) {
         if (pass > 0)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(opts_.failoverPauseMs));
@@ -277,11 +208,7 @@ Proxy::handleRun(const serve::HttpRequest &req, int *status_out)
                 metrics_.failovers.fetch_add(
                     1, std::memory_order_relaxed);
             ++attempts;
-            BackendAttempt a =
-                (opts_.hedgeMs > 0 && attempts == 1 &&
-                 order.size() > 1)
-                    ? fetchWithHedge(order, i, req.target)
-                    : fetchFromBackend(order[i], req.target);
+            BackendAttempt a = fetchFromBackend(order[i], req.target);
             if (a.ok && a.response.status == 503) {
                 // The worker is draining (or its deadline tripped):
                 // it answered, but another worker can do better.
@@ -325,8 +252,6 @@ Proxy::statsJson() const
     out += ", \"backendErrors\": " + L(metrics_.backendErrors);
     out += ", \"partialResponses\": " + L(metrics_.partialResponses);
     out += ", \"noBackend\": " + L(metrics_.noBackend);
-    out += ", \"hedgesLaunched\": " + L(metrics_.hedgesLaunched);
-    out += ", \"hedgeWins\": " + L(metrics_.hedgeWins);
     out += ", \"keepAliveReused\": " + L(door.keepAliveReused);
     out += ", \"backendReused\": " + L(metrics_.backendReused);
     out += "},\n";

@@ -12,9 +12,10 @@
  * any transport failure (connect refused, reset, deadline) it walks
  * the hash ring's failover order — in-rotation workers first, then
  * everyone (probe state lags reality) — across several passes with a
- * short pause, before finally answering 503. Optional hedging
- * (hedgeMs > 0) launches a second attempt at the next worker when
- * the owner is slow, taking whichever finishes first.
+ * short pause, before finally answering 503. There is no hedging: a
+ * cell is deterministic and only its owner holds its memo and
+ * singleflight, so a second attempt elsewhere would only re-run the
+ * whole simulation cold.
  *
  * Endpoints: /run (routed), /stats (proxy counters + per-worker
  * supervision state + live worker stats), /healthz (ok while at
@@ -22,8 +23,8 @@
  *
  * The listening socket, admission queue, worker threads and
  * keep-alive loop are the same serve::HttpFrontEnd that mgx_serve
- * uses; this class holds only routing, failover, hedging and the
- * backend pool.
+ * uses; this class holds only routing, failover and the backend
+ * pool.
  */
 
 #ifndef MGX_FLEET_PROXY_H
@@ -51,11 +52,7 @@ struct ProxyOptions : serve::FrontEndOptions
         admissionCapacity = 32;
     }
 
-    int backendTimeoutMs = 120000; ///< one backend attempt's budget
-    int failoverPasses = 3;  ///< sweeps over the ring before 503
-    int failoverPauseMs = 100; ///< pause between sweeps
-    int hedgeMs = 0; ///< >0: hedge /run to the next worker when slow
-    u32 ringVnodes = 64;
+    int failoverPauseMs = 100; ///< pause between sweeps over the ring
 };
 
 /** Routing counters mirrored into /stats (mgx-fleetstats-v1) next to
@@ -67,8 +64,6 @@ struct ProxyMetrics
     std::atomic<u64> backendErrors{0}; ///< failed backend attempts
     std::atomic<u64> partialResponses{0}; ///< backend died mid-body
     std::atomic<u64> noBackend{0};    ///< 503: every attempt failed
-    std::atomic<u64> hedgesLaunched{0};
-    std::atomic<u64> hedgeWins{0};    ///< hedge finished first
     std::atomic<u64> backendReused{0}; ///< pooled backend conn reused
 };
 
@@ -128,9 +123,6 @@ class Proxy
      *  connection (with the fleet.backend.* failpoints applied). */
     BackendAttempt fetchFromBackend(const std::string &name,
                                     const std::string &target);
-    BackendAttempt fetchWithHedge(
-        const std::vector<std::string> &order, std::size_t primary,
-        const std::string &target);
 
     /** Failover order for @p key: ring order, in-rotation first. */
     std::vector<std::string> candidateOrder(
@@ -153,10 +145,6 @@ class Proxy
         std::string,
         std::vector<std::unique_ptr<serve::ClientConnection>>>>
         pool_;
-
-    /// Detached hedge threads still running (shutdown waits on it —
-    /// they capture `this`).
-    std::atomic<u64> bgOps_{0};
 
     std::function<void()> shutdownHook_;
 

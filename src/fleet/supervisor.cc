@@ -26,6 +26,10 @@ failpoint::Point &fpForkFail =
 failpoint::Point &fpProbeTimeout =
     failpoint::Point::get("fleet.probe.timeout");
 
+/// Consecutive missed probes that take a worker out of rotation: one
+/// miss can be a busy worker, two in a row is a pattern.
+constexpr int kProbeFailThreshold = 2;
+
 } // namespace
 
 const char *
@@ -38,6 +42,16 @@ workerStateName(WorkerState s)
       case WorkerState::Broken: return "Broken";
     }
     return "Unknown";
+}
+
+std::string
+workerName(int id)
+{
+    // Appended, not `"w" + std::to_string(id)`: that form trips GCC
+    // 12's -Wrestrict false positive (PR105651) once inlined.
+    std::string name = "w";
+    name += std::to_string(id);
+    return name;
 }
 
 std::string
@@ -98,7 +112,7 @@ Supervisor::start()
         for (int i = 0; i < opts_.workers; ++i) {
             Worker &w = workers_[static_cast<std::size_t>(i)];
             w.id = i;
-            w.name = "w" + std::to_string(i);
+            w.name = workerName(i);
             w.socketPath =
                 opts_.socketDir + "/" + w.name + ".sock";
             spawnLocked(w);
@@ -128,7 +142,6 @@ Supervisor::spawnLocked(Worker &w)
                 binary_,
                 "--socket", w.socketPath,
                 "--workers", std::to_string(opts_.workerThreads),
-                "--queue", std::to_string(opts_.workerQueue),
                 "--quiet"};
             if (!opts_.traceCacheDir.empty()) {
                 args.push_back("--trace-cache");
@@ -138,11 +151,6 @@ Supervisor::spawnLocked(Worker &w)
                 args.push_back("--trace-cache-max-bytes");
                 args.push_back(
                     std::to_string(opts_.traceCacheMaxBytes));
-            }
-            if (opts_.workerDeadlineMs > 0) {
-                args.push_back("--deadline-ms");
-                args.push_back(
-                    std::to_string(opts_.workerDeadlineMs));
             }
             const pid_t pid = ::fork();
             if (pid < 0) {
@@ -315,7 +323,7 @@ Supervisor::probeOne(int index)
             w.rapidDeaths = 0;
     } else {
         ++w.probeFailures;
-        if (++w.consecProbeMisses >= opts_.probeFailThreshold)
+        if (++w.consecProbeMisses >= kProbeFailThreshold)
             w.healthy = false;
     }
 }
@@ -375,7 +383,8 @@ Supervisor::shutdown(int grace_ms)
                 std::chrono::milliseconds(10));
         }
         // A SIGKILLed worker cannot unlink its socket; leave no
-        // strays behind (the CI fleet job asserts this).
+        // strays behind (smoke_fleet and FleetIntegration assert
+        // this).
         ::unlink(socket.c_str());
     }
     {

@@ -54,12 +54,9 @@ struct SupervisorOptions
     std::string traceCacheDir; ///< shared; "" = workers run uncached
     u64 traceCacheMaxBytes = 0;
     u32 workerThreads = 2;       ///< --workers for each mgx_serve
-    std::size_t workerQueue = 16; ///< --queue for each mgx_serve
-    int workerDeadlineMs = 0;    ///< --deadline-ms for each mgx_serve
 
     int probeIntervalMs = 200;  ///< /healthz cadence per worker
     int probeTimeoutMs = 1000;
-    int probeFailThreshold = 2; ///< consecutive misses -> out of rotation
 
     int restartBackoffMs = 100;    ///< base; doubles per rapid death
     int restartBackoffMaxMs = 5000;
@@ -73,7 +70,7 @@ struct SupervisorOptions
 struct WorkerStatus
 {
     int id = 0;
-    std::string name; ///< ring node name, "w<id>"
+    std::string name; ///< workerName(id)
     std::string socketPath;
     pid_t pid = -1; ///< -1 while not running
     WorkerState state = WorkerState::Starting;
@@ -164,6 +161,9 @@ class Supervisor : public BackendDirectory
     bool started_ = false;
     bool shutdown_ = false;
 };
+
+/** Worker @p id's name — its hash-ring node and /stats key: "w<id>". */
+std::string workerName(int id);
 
 /**
  * Find the mgx_serve binary near the running executable: same

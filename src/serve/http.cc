@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cstdlib>
 
+#include "common/cli.h"
+
 namespace mgx::serve {
 namespace {
 
@@ -26,6 +28,67 @@ stripCr(std::string_view line)
     if (!line.empty() && line.back() == '\r')
         line.remove_suffix(1);
     return line;
+}
+
+using Headers = std::vector<std::pair<std::string, std::string>>;
+
+/** RFC 9110 token characters: all a header name may contain. */
+bool
+isTokenChar(char c)
+{
+    return std::isalnum(static_cast<unsigned char>(c)) ||
+           std::string_view("!#$%&'*+-.^_`|~").find(c) !=
+               std::string_view::npos;
+}
+
+/** Append one `Name: value` line to @p headers (name lower-cased,
+ *  value left-trimmed); false when the name is empty or not a token. */
+bool
+appendHeader(std::string_view line, Headers &headers)
+{
+    const std::size_t colon = line.find(':');
+    if (colon == std::string_view::npos || colon == 0 ||
+        !std::all_of(line.begin(), line.begin() + colon, isTokenChar))
+        return false;
+    std::string_view value = line.substr(colon + 1);
+    const std::size_t ns = value.find_first_not_of(" \t");
+    value = ns == std::string_view::npos ? "" : value.substr(ns);
+    headers.emplace_back(toLower(std::string(line.substr(0, colon))),
+                         std::string(value));
+    return true;
+}
+
+/** The last Content-Length in @p headers into @p length (untouched
+ *  when there is none); false when its value is not a plain decimal
+ *  count. */
+bool
+readContentLength(const Headers &headers, std::size_t *length)
+{
+    for (const auto &h : headers) {
+        if (h.first != "content-length")
+            continue;
+        const auto n = parseUnsigned(h.second, 0, ~std::size_t{0});
+        if (!n)
+            return false;
+        *length = static_cast<std::size_t>(*n);
+    }
+    return true;
+}
+
+/** Where the header block of @p buf ends (at its blank line) and the
+ *  body starts; npos while the blank line has not arrived. Bare-LF
+ *  and CRLF line endings are both accepted, so the earliest blank
+ *  line of either kind ends the block. */
+std::pair<std::size_t, std::size_t>
+headerBlockEnd(const std::string &buf)
+{
+    const std::size_t crlf = buf.find("\r\n\r\n");
+    const std::size_t lf = buf.find("\n\n");
+    if (lf < crlf)
+        return {lf, lf + 2};
+    if (crlf != std::string::npos)
+        return {crlf, crlf + 4};
+    return {std::string::npos, std::string::npos};
 }
 
 int
@@ -131,16 +194,9 @@ HttpRequestParser::parseBuffered()
 {
     // Wait for the end of the header block before parsing anything;
     // requests are tiny, so re-scanning per feed() is fine.
-    std::size_t header_end = buffer_.find("\r\n\r\n");
-    std::size_t body_start;
-    if (header_end != std::string::npos) {
-        body_start = header_end + 4;
-    } else {
-        header_end = buffer_.find("\n\n");
-        if (header_end == std::string::npos)
-            return status_;
-        body_start = header_end + 2;
-    }
+    const auto [header_end, body_start] = headerBlockEnd(buffer_);
+    if (header_end == std::string::npos)
+        return status_;
 
     HttpRequest req;
     std::size_t pos = 0;
@@ -159,7 +215,9 @@ HttpRequestParser::parseBuffered()
                 sp1 == std::string_view::npos ? sp1
                                               : line.find(' ', sp1 + 1);
             if (sp1 == std::string_view::npos ||
-                sp2 == std::string_view::npos)
+                sp2 == std::string_view::npos || sp1 == 0 ||
+                !std::all_of(line.begin(), line.begin() + sp1,
+                             isTokenChar))
                 return fail("malformed request line");
             req.method = std::string(line.substr(0, sp1));
             req.target =
@@ -171,28 +229,13 @@ HttpRequestParser::parseBuffered()
                 return fail("request target must be absolute path");
             continue;
         }
-        if (line.empty())
-            continue;
-        const std::size_t colon = line.find(':');
-        if (colon == std::string_view::npos || colon == 0)
+        if (!line.empty() && !appendHeader(line, req.headers))
             return fail("malformed header line");
-        std::string value(line.substr(colon + 1));
-        const std::size_t ns = value.find_first_not_of(" \t");
-        value = ns == std::string::npos ? "" : value.substr(ns);
-        req.headers.emplace_back(
-            toLower(std::string(line.substr(0, colon))),
-            std::move(value));
     }
 
     std::size_t content_length = 0;
-    for (const auto &h : req.headers) {
-        if (h.first != "content-length")
-            continue;
-        char *end = nullptr;
-        content_length = std::strtoull(h.second.c_str(), &end, 10);
-        if (end == h.second.c_str() || *end != '\0')
-            return fail("malformed Content-Length");
-    }
+    if (!readContentLength(req.headers, &content_length))
+        return fail("malformed Content-Length");
     if (content_length > kMaxRequestBytes) {
         tooLarge_ = true;
         return fail("request exceeds 1 MiB");
@@ -221,16 +264,9 @@ parseHttpResponse(const std::string &raw, HttpResponse *out,
             *error = msg;
         return false;
     };
-    std::size_t header_end = raw.find("\r\n\r\n");
-    std::size_t body_start;
-    if (header_end != std::string::npos) {
-        body_start = header_end + 4;
-    } else {
-        header_end = raw.find("\n\n");
-        if (header_end == std::string::npos)
-            return fail("no header terminator");
-        body_start = header_end + 2;
-    }
+    const auto [header_end, body_start] = headerBlockEnd(raw);
+    if (header_end == std::string::npos)
+        return fail("no header terminator");
 
     HttpResponse resp;
     std::size_t pos = 0;
@@ -262,17 +298,8 @@ parseHttpResponse(const std::string &raw, HttpResponse *out,
                 resp.reason = std::string(line.substr(sp2 + 1));
             continue;
         }
-        if (line.empty())
-            continue;
-        const std::size_t colon = line.find(':');
-        if (colon == std::string_view::npos || colon == 0)
+        if (!line.empty() && !appendHeader(line, resp.headers))
             return fail("malformed header line");
-        std::string value(line.substr(colon + 1));
-        const std::size_t ns = value.find_first_not_of(" \t");
-        value = ns == std::string::npos ? "" : value.substr(ns);
-        resp.headers.emplace_back(
-            toLower(std::string(line.substr(0, colon))),
-            std::move(value));
     }
     resp.body = raw.substr(body_start);
     if (out)
@@ -328,15 +355,10 @@ HttpResponseParser::Status
 HttpResponseParser::parseBuffered()
 {
     if (!headers_done_) {
-        std::size_t header_end = buffer_.find("\r\n\r\n");
-        if (header_end != std::string::npos) {
-            body_start_ = header_end + 4;
-        } else {
-            header_end = buffer_.find("\n\n");
-            if (header_end == std::string::npos)
-                return status_;
-            body_start_ = header_end + 2;
-        }
+        const auto [header_end, body_start] = headerBlockEnd(buffer_);
+        if (header_end == std::string::npos)
+            return status_;
+        body_start_ = body_start;
         HttpResponse resp;
         std::string error;
         // The header block is complete: the batch parser's header
@@ -345,16 +367,9 @@ HttpResponseParser::parseBuffered()
                                &error))
             return fail(error);
         resp.body.clear();
-        for (const auto &h : resp.headers) {
-            if (h.first != "content-length")
-                continue;
-            char *end = nullptr;
-            content_length_ =
-                std::strtoull(h.second.c_str(), &end, 10);
-            if (end == h.second.c_str() || *end != '\0')
-                return fail("malformed Content-Length");
-            has_length_ = true;
-        }
+        if (!readContentLength(resp.headers, &content_length_))
+            return fail("malformed Content-Length");
+        has_length_ = resp.header("content-length").has_value();
         response_ = std::move(resp);
         headers_done_ = true;
     }

@@ -7,6 +7,13 @@
 #include "sim/workload_registry.h"
 
 namespace mgx::serve {
+namespace {
+
+/// How long to bypass the trace cache after a run reports it degraded
+/// before probing it again (see Server::cacheDegraded()).
+constexpr int kCacheRetryMs = 5000;
+
+} // namespace
 
 std::string
 CellKey::key() const
@@ -310,7 +317,7 @@ Server::cacheUsableNow()
     if (now < cacheRetryAt_)
         return false;
     cacheRetryAt_ =
-        now + std::chrono::milliseconds(opts_.cacheRetryMs);
+        now + std::chrono::milliseconds(kCacheRetryMs);
     return true;
 }
 
@@ -322,14 +329,14 @@ Server::noteCacheHealth(bool degraded)
             std::lock_guard<std::mutex> lock(cachemu_);
             cacheRetryAt_ =
                 std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(opts_.cacheRetryMs);
+                std::chrono::milliseconds(kCacheRetryMs);
         }
         if (!cacheDegraded_.exchange(true,
                                      std::memory_order_relaxed))
             MGX_WARN(
                 "mgx_serve: trace cache degraded ('%s'); serving "
                 "uncached, re-probing every %d ms",
-                opts_.traceCacheDir.c_str(), opts_.cacheRetryMs);
+                opts_.traceCacheDir.c_str(), kCacheRetryMs);
     } else if (cacheDegraded_.exchange(false,
                                        std::memory_order_relaxed)) {
         MGX_WARN("mgx_serve: trace cache recovered ('%s')",

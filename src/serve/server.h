@@ -82,9 +82,6 @@ struct ServerOptions : FrontEndOptions
     /// finishes on a background thread (engine runs cannot be
     /// cancelled) so a retry joins it instead of duplicating work.
     int requestDeadlineMs = 0;
-    /// How long to bypass the trace cache after a run reports it
-    /// degraded before probing it again (see cacheDegraded()).
-    int cacheRetryMs = 5000;
     /// Finished-cell results memoized in memory (LRU, keyed like the
     /// singleflight); 0 disables the memo.
     std::size_t resultMemoCapacity = 64;

@@ -39,6 +39,12 @@ failpoint::Point &fpLockOpen =
 failpoint::Point &fpLockEintr =
     failpoint::Point::get("trace_io.lock.eintr");
 
+/// Highest end (addr + bytes) an access may have. The engines round a
+/// range's end up to its MAC or baseline block, a power of two that
+/// fits in 32 bits, so an end in the last 4 GiB of the address space
+/// could wrap to 0 there and drop the access's metadata.
+constexpr u64 kMaxAccessEnd = ~u64{0} - 0xffffffffull;
+
 [[noreturn]] void
 raise(const char *fmt, ...)
 {
@@ -182,11 +188,12 @@ class TraceParser
             ss >> rw >> std::hex >> acc.addr >> std::dec >> acc.bytes >>
                 cls >> std::hex >> acc.vn >> std::dec >>
                 acc.macGranularity;
-            // A zero-length range has no last byte, and one whose end
-            // (addr + bytes) wraps past 2^64 has no block span: every
-            // consumer computes both.
+            // A zero-length range has no last byte, and one whose
+            // block-aligned end wraps past 2^64 has no block span:
+            // every consumer computes both.
             if (ss.fail() || (rw != 'r' && rw != 'w') ||
-                acc.bytes == 0 || acc.bytes > ~acc.addr)
+                acc.bytes == 0 || acc.addr > kMaxAccessEnd ||
+                acc.bytes > kMaxAccessEnd - acc.addr)
                 raise("trace line %u: malformed access", lineNo_);
             acc.type = rw == 'w' ? AccessType::Write : AccessType::Read;
             acc.cls = classFromToken(cls, lineNo_);

@@ -213,6 +213,17 @@ TEST(TraceIo, MalformedInputThrowsTraceIoError)
     EXPECT_NE(message("P p0 100\nA r ffffffffffffffc0 128 weight 1 0\n")
                   .find("trace line 2: malformed access"),
               std::string::npos);
+    // The raw range fits, but its end rounded up to a 64 B or 512 B
+    // block would wrap to 0 and the engines would lose its metadata.
+    EXPECT_NE(message("P p0 100\nA r fffffffffffffff0 8 weight 1 0\n")
+                  .find("trace line 2: malformed access"),
+              std::string::npos);
+    // The last accepted end leaves room for any 32-bit block size.
+    const core::Trace top =
+        sim::traceFromString("P p0 100\nA r fffffffeffffffc0 64 weight 1 0\n");
+    ASSERT_EQ(top.size(), 1u);
+    ASSERT_EQ(top[0].accesses.size(), 1u);
+    EXPECT_EQ(top[0].accesses[0].addr, 0xfffffffeffffffc0ull);
 }
 
 TEST(TraceIo, ReplayedTraceSimulatesIdentically)

@@ -6,7 +6,9 @@
  * degradation under every trace_io fault (quarantine + regenerate,
  * ENOSPC publishing nothing, torn renames swept as debris, EINTR
  * storms on the cache lock), the serve layer's deadline and
- * stuck-client recovery, and a single self-contained sweep proving
+ * stuck-client recovery, rotating trace_io fault sets under concurrent
+ * /run load with every answer checked against a fault-free reference,
+ * and a single self-contained sweep proving
  * every registered failpoint in the binary actually fires.
  */
 
@@ -17,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -34,6 +37,7 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "sim/experiment.h"
+#include "sim/report.h"
 #include "sim/trace_io.h"
 #include "sim/workload_registry.h"
 
@@ -656,6 +660,117 @@ TEST(ServeFault, StuckClientIsTimedOutAndTheWorkerFreed)
     EXPECT_GE(server.metricsSnapshot().badRequests, 1u);
     ::close(fd);
     server.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Chaos under load: rotating trace_io faults cost reuse, never answers
+// ---------------------------------------------------------------------
+
+/**
+ * The chaos rotation: every entry is a complete MGX_FAILPOINTS-style
+ * list armed for one slice of the load window. Specs are recurring
+ * (every:N / prob) so faults keep firing across requests.
+ * `lock.eintr=always` is deliberately absent — the flock retry loop
+ * would livelock; an every:2 storm exercises the same retry path and
+ * always makes progress.
+ */
+const char *const kChaosRotation[] = {
+    "trace_io.read.open=every:3,trace_io.read.corrupt=every:2",
+    "trace_io.write.open=every:2,trace_io.write.enospc=every:3",
+    "trace_io.write.short=every:3,trace_io.write.torn=every:2",
+    "trace_io.lock.open=every:3,trace_io.lock.eintr=every:2",
+    "trace_io.read.corrupt=prob:0.5:1234,trace_io.write.enospc=prob:0.5:5678",
+};
+
+TEST(ServeFault, RotatingCacheFaultsUnderLoadNeverFailOrDrift)
+{
+    FailpointGuard guard;
+    TempDir cache("chaos");
+    // The fault-free reference: exactly what `mgx_run --json` writes
+    // for this grid, computed before any failpoint is armed.
+    const std::string reference =
+        sim::toJson(sim::Experiment()
+                        .workload(kWorkload)
+                        .schemes({protection::Scheme::NP,
+                                  protection::Scheme::BP})
+                        .threads(1)
+                        .run());
+
+    constexpr unsigned kClients = 4;
+    serve::ServerOptions opts;
+    opts.listen.unixPath = testSocketPath("chaos");
+    opts.workers = kClients;
+    opts.admissionCapacity = 2 * kClients;
+    opts.traceCacheDir = cache.str();
+    // No memo: every request must replay its cells through the trace
+    // cache, or the faults would have nothing left to hit after the
+    // first answer.
+    opts.resultMemoCapacity = 0;
+    serve::Server server(opts);
+    server.start();
+    const serve::SocketAddress addr{opts.listen.unixPath, "127.0.0.1",
+                                    0};
+    const std::string target = "/run?workload=" +
+                               serve::percentEncode(kWorkload) +
+                               "&schemes=NP,BP";
+
+    // Warm the cache fault-free so the read-side faults have files to
+    // corrupt from the first slice on.
+    {
+        serve::HttpResponse resp;
+        std::string error;
+        ASSERT_TRUE(serve::httpGet(addr, target, &resp, &error))
+            << error;
+        ASSERT_EQ(resp.status, 200) << resp.body;
+        ASSERT_EQ(resp.body, reference);
+    }
+
+    std::atomic<bool> stop{false};
+    std::atomic<u64> rotations{0};
+    std::thread chaos([&] {
+        for (std::size_t i = 0; !stop.load(std::memory_order_acquire);
+             ++i) {
+            failpoint::disarmAll();
+            EXPECT_TRUE(failpoint::armSpecList(
+                kChaosRotation[i % std::size(kChaosRotation)]));
+            rotations.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        }
+        failpoint::disarmAll();
+    });
+
+    std::atomic<u64> ok{0}, failed{0}, drifted{0};
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    std::vector<std::thread> clients;
+    for (unsigned c = 0; c < kClients; ++c) {
+        clients.emplace_back([&] {
+            while (std::chrono::steady_clock::now() < deadline) {
+                serve::HttpResponse resp;
+                std::string error;
+                if (serve::httpGet(addr, target, &resp, &error) &&
+                    resp.status == 200) {
+                    ok.fetch_add(1);
+                    drifted.fetch_add(resp.body != reference);
+                } else {
+                    failed.fetch_add(1);
+                }
+            }
+        });
+    }
+    for (auto &t : clients)
+        t.join();
+    stop.store(true, std::memory_order_release);
+    chaos.join();
+    server.shutdown();
+
+    EXPECT_GT(ok.load(), 0u);
+    EXPECT_GE(rotations.load(), std::size(kChaosRotation));
+    EXPECT_EQ(failed.load(), 0u);
+    EXPECT_EQ(drifted.load(), 0u);
+    // Non-vacuity: injected read corruption reached a cached replay
+    // under load and was repaired, leaving quarantine evidence.
+    EXPECT_GE(filesContaining(cache.path, ".trace.bad").size(), 1u);
 }
 
 // ---------------------------------------------------------------------

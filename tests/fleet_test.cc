@@ -120,7 +120,7 @@ TEST(HashRing, OnlyTheRemovedNodesKeysMove)
     constexpr int kKeys = 2000;
     HashRing ring;
     for (int n = 0; n < kNodes; ++n)
-        ring.add("w" + std::to_string(n));
+        ring.add(workerName(n));
 
     std::map<std::string, std::string> before;
     for (int i = 0; i < kKeys; ++i) {
@@ -157,7 +157,7 @@ TEST(HashRing, RouteIsTheDistinctFailoverOrder)
 {
     HashRing ring;
     for (int n = 0; n < 4; ++n)
-        ring.add("w" + std::to_string(n));
+        ring.add(workerName(n));
 
     for (int i = 0; i < 64; ++i) {
         const std::string key = "cell/" + std::to_string(i);
@@ -224,7 +224,7 @@ struct MiniFleet
                     return syntheticOutcome(cell);
                 });
             servers.back()->start();
-            dir.add("w" + std::to_string(i),
+            dir.add(workerName(i),
                     {opts.listen.unixPath, "127.0.0.1", 0});
         }
     }
@@ -244,11 +244,11 @@ const char *const kTarget = "/run?workload=core%2Fmatmul&schemes=NP";
 
 /** Index of the worker owning kTarget under the proxy's ring. */
 std::size_t
-ownerIndex(int n, u32 vnodes = 64)
+ownerIndex(int n)
 {
-    HashRing ring(vnodes);
+    HashRing ring; // the proxy's ring: default virtual-node count
     for (int i = 0; i < n; ++i)
-        ring.add("w" + std::to_string(i));
+        ring.add(workerName(i));
     const auto req =
         parseRequest(std::string("GET ") + kTarget + " HTTP/1.1\r\n\r\n");
     const std::string owner = ring.owner(Proxy::routingKey(req));
@@ -309,9 +309,9 @@ TEST(ProxyTest, FailsOverToTheNextRingNodeWhenTheOwnerIsDead)
 
     // The next distinct node in ring order picked the request up —
     // not an arbitrary survivor.
-    HashRing ring(popts.ringVnodes);
+    HashRing ring; // the proxy's ring: default virtual-node count
     for (int i = 0; i < 3; ++i)
-        ring.add("w" + std::to_string(i));
+        ring.add(workerName(i));
     const auto req = parseRequest(std::string("GET ") + kTarget +
                                   " HTTP/1.1\r\n\r\n");
     const auto order = ring.route(Proxy::routingKey(req));
@@ -328,7 +328,7 @@ TEST(ProxyTest, OutOfRotationOwnerIsSkippedWithoutAFailover)
 {
     MiniFleet mini(3, "rotation");
     const std::size_t owner = ownerIndex(3);
-    mini.dir.setInRotation("w" + std::to_string(owner), false);
+    mini.dir.setInRotation(workerName(static_cast<int>(owner)), false);
 
     ProxyOptions popts;
     popts.listen.unixPath = testSocketPath("rotation-proxy");
@@ -357,7 +357,7 @@ TEST(ProxyTest, CacheDegradedOwnerIsDemotedBelowHealthyPeers)
     // The owner's trace cache went degraded: it still answers
     // correctly, but it re-generates traces, so routing should
     // prefer any healthy peer over it.
-    mini.dir.setCacheDegraded("w" + std::to_string(owner), true);
+    mini.dir.setCacheDegraded(workerName(static_cast<int>(owner)), true);
 
     ProxyOptions popts;
     popts.listen.unixPath = testSocketPath("degraded-proxy");
@@ -380,7 +380,7 @@ TEST(ProxyTest, CacheDegradedOwnerIsDemotedBelowHealthyPeers)
     // peer out of rotation it is the first (and successful) attempt.
     for (std::size_t i = 0; i < mini.runs.size(); ++i)
         if (i != owner)
-            mini.dir.setInRotation("w" + std::to_string(i), false);
+            mini.dir.setInRotation(workerName(static_cast<int>(i)), false);
     const u64 failovers_before = proxy.metrics().failovers.load();
     ASSERT_TRUE(serve::httpGet(addr, kTarget, &resp, &error)) << error;
     ASSERT_EQ(resp.status, 200) << resp.body;
@@ -608,10 +608,12 @@ TEST(FleetIntegration, SigkillingOwnersNeverFailsOrDriftsARequest)
     opts.supervisor.serveBinary = binary;
     opts.supervisor.probeIntervalMs = 50;
     opts.supervisor.restartBackoffMs = 50;
-    // No shared trace cache here on purpose: every run regenerates
-    // its trace, so any worker's answer is bitwise-reproducible
-    // against the local reference (the chaos bench covers the
-    // shared-cache configuration).
+    // The production configuration: every worker shares one trace
+    // cache, so a SIGKILL can land mid-publish and a restarted worker
+    // reads what its predecessor wrote. Cached, cold and uncached
+    // runs write the same bytes, so the local uncached reference
+    // below still pins every answer.
+    opts.supervisor.traceCacheDir = (socks.path / "cache").string();
     opts.proxy.listen.unixPath = testSocketPath("integ-proxy");
     opts.proxy.failoverPauseMs = 50;
     Fleet fleet(opts);
@@ -646,7 +648,7 @@ TEST(FleetIntegration, SigkillingOwnersNeverFailsOrDriftsARequest)
     // the in-flight cell. The proxy must absorb every crash: zero
     // failed requests, zero drifted bodies.
     const std::size_t owner = ownerIndex(3);
-    const std::string owner_name = "w" + std::to_string(owner);
+    const std::string owner_name = workerName(static_cast<int>(owner));
     std::atomic<bool> stop{false};
     std::atomic<int> kills{0};
     std::thread killer([&] {
