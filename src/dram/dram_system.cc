@@ -1,7 +1,6 @@
 #include "dram_system.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/bitops.h"
 
@@ -73,47 +72,10 @@ DramSystem::accessBatch(std::span<const Request> reqs)
     // command stream is timing-visible state (bus direction, open
     // rows, activate windows), so physically regrouping same-row
     // requests here would change cycle counts. The grouping the model
-    // wants is already done by the callers' deferred queues; this
-    // path only removes redundant address decodes.
-    //
-    // Metadata queues interleave (up to) two consecutive-line
-    // streams: miss fills walk the VN/tree/MAC regions in address
-    // order, and the dirty victims they evict — filled one cache
-    // capacity earlier — walk their own ascending sequence between
-    // them. Two predictor slots (most recent first) catch both; a
-    // request neither slot predicts re-seeds the colder one.
-    struct Slot
-    {
-        AddressMap::LineWalker walker;
-        Addr prev = 0;
-        bool valid = false;
-    };
-    const u32 block = map_.blockBytes();
+    // wants is already done by the caller's deferred queue.
     Cycles done = 0;
-    Slot slots[2];
-    for (const Request &req : reqs) {
-        const Addr line = alignDown(req.addr, block);
-        if (slots[0].valid && line == slots[0].prev + block) {
-            slots[0].walker.next();
-        } else if (slots[0].valid && line == slots[0].prev) {
-            // same line again: coordinates already current
-        } else if (slots[1].valid && (line == slots[1].prev + block ||
-                                      line == slots[1].prev)) {
-            if (line != slots[1].prev)
-                slots[1].walker.next();
-            std::swap(slots[0], slots[1]);
-        } else {
-            std::swap(slots[0], slots[1]);
-            slots[0].walker = map_.walkerAt(line);
-            slots[0].valid = true;
-        }
-        slots[0].prev = line;
-        ++accessCount_;
-        const Coord &coord = slots[0].walker.coord();
-        const Cycles c = channels_[coord.channel]->access(
-            coord, req.isWrite, req.arrival);
-        done = std::max(done, c);
-    }
+    for (const Request &req : reqs)
+        done = std::max(done, access(req));
     return done;
 }
 

@@ -4,8 +4,8 @@
  * routes each 64-byte access to its channel, and reports completion
  * times and aggregate statistics. Contiguous ranges are served as
  * per-channel open-row runs (DramChannel::accessRun) instead of one
- * channel call per block; request batches decode incrementally through
- * AddressMap::LineWalker.
+ * channel call per block; scattered metadata requests are decoded one
+ * by one.
  */
 
 #ifndef MGX_DRAM_DRAM_SYSTEM_H
@@ -59,12 +59,8 @@ class DramSystem
 
     /**
      * Serve a batch of block requests in order — the replay path for
-     * deferred metadata queues. Equivalent to calling access() per
-     * request and taking the max completion (the per-channel command
-     * streams are identical, so every cycle and statistic matches bit
-     * for bit); the win is that runs of same-line and
-     * consecutive-line requests — the shape metadata miss streams
-     * have — decode incrementally instead of from scratch.
+     * the protection engine's deferred MAC queue: access() per
+     * request, taking the max completion.
      * @return max completion cycle across the batch; 0 when empty
      */
     Cycles accessBatch(std::span<const Request> reqs);

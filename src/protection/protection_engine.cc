@@ -120,14 +120,17 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
     // MAC): a FR-FCFS scheduler batches same-row metadata fetches the
     // same way, and interleaving them per block would thrash row
     // buffers in a way real controllers avoid.
-    metaReqs_.clear();
     macReqs_.clear();
 
-    // The data blocks go first, as one contiguous transfer. Issuing
-    // them ahead of the metadata loop keeps the per-block request
-    // order: the metadata cache's state never depends on DRAM timing,
-    // and its requests are deferred to the batches after the loop.
+    // The data blocks go first, as one contiguous transfer. The
+    // metadata cache's state never depends on DRAM timing, so each
+    // VN/tree fill and victim is issued the moment the cache resolves
+    // it, which is already region order; only the MAC requests are
+    // deferred, to the batch after the loop.
     Cycles done = dram_->accessRange(begin, end - begin, is_write, arrival);
+    const auto issue = [&](Addr line, bool write) {
+        done = std::max(done, dram_->access({line, write, arrival}));
+    };
 
     // Metadata addresses stream incrementally: one VN line covers
     // kLine/vnBytes consecutive blocks, one level-1 node treeArity VN
@@ -145,11 +148,11 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
             CacheResult r = cache_.access(vn_line, is_write,
                                           MetaClass::Vn, &vnMemo_);
             if (!r.hit) {
-                metaReqs_.push_back({vn_line, false, arrival});
+                issue(vn_line, false);
                 traffic_.vnBytes += kLine;
             }
             if (r.writeback) {
-                metaReqs_.push_back({r.victimAddr, true, arrival});
+                issue(r.victimAddr, true);
                 trafficFor(r.victimClass) += kLine;
             }
         }
@@ -170,12 +173,12 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
                     cache_.access(node, is_write, MetaClass::Tree,
                                   level == 1 ? &treeMemo_ : nullptr);
                 if (r.writeback) {
-                    metaReqs_.push_back({r.victimAddr, true, arrival});
+                    issue(r.victimAddr, true);
                     trafficFor(r.victimClass) += kLine;
                 }
                 if (r.hit)
                     break;
-                metaReqs_.push_back({node, false, arrival});
+                issue(node, false);
                 traffic_.treeBytes += kLine;
             }
         }
@@ -197,9 +200,7 @@ ProtectionEngine::baselinePath(const core::LogicalAccess &acc,
             }
         }
     }
-    done = std::max(done, dram_->accessBatch(metaReqs_));
-    done = std::max(done, dram_->accessBatch(macReqs_));
-    return done;
+    return std::max(done, dram_->accessBatch(macReqs_));
 }
 
 Cycles
@@ -251,12 +252,10 @@ ProtectionEngine::flush(Cycles arrival)
         // Each dirty line writes back charged to its own metadata
         // class — a VN or MAC victim is not tree traffic.
         cache_.flush(flushScratch_);
-        metaReqs_.clear();
         for (const MetaCache::FlushedLine &line : flushScratch_) {
-            metaReqs_.push_back({line.addr, true, arrival});
+            done = std::max(done, dram_->access({line.addr, true, arrival}));
             trafficFor(line.cls) += kLine;
         }
-        done = std::max(done, dram_->accessBatch(metaReqs_));
     }
     return done;
 }

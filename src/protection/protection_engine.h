@@ -115,10 +115,10 @@ class ProtectionEngine
     MetaCache cache_;
     TrafficBreakdown traffic_;
     StatGroup::Counter statLogicalAccesses_;
-    // Scratch queues reused across baselinePath calls so the per-access
-    // hot path never allocates once their high-water mark is reached;
-    // replayed in push order through DramSystem::accessBatch.
-    std::vector<dram::Request> metaReqs_;
+    // baselinePath's deferred MAC queue, reused across calls so the
+    // per-access hot path never allocates once its high-water mark is
+    // reached; replayed in push order through DramSystem::accessBatch
+    // after the VN/tree requests, which go to DRAM as they resolve.
     std::vector<dram::Request> macReqs_;
     // Same-line coalescing memos: consecutive baseline blocks usually
     // share their VN/MAC line and level-1 tree node, so the common
@@ -127,7 +127,7 @@ class ProtectionEngine
     MetaCache::Memo vnMemo_;
     MetaCache::Memo macMemo_;
     MetaCache::Memo treeMemo_;
-    // End-of-run flush scratch (same reuse pattern as the queues).
+    // End-of-run flush scratch (same reuse pattern as the queue).
     std::vector<MetaCache::FlushedLine> flushScratch_;
 };
 

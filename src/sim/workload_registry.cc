@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <utility>
 
+#include "common/cli.h"
 #include "common/log.h"
 #include "core/matmul_kernel.h"
 #include "dnn/dnn_kernel.h"
@@ -40,6 +44,9 @@ badWorkload(const char *fmt, ...)
     va_end(args);
     throw BadWorkload{buf};
 }
+
+/** Upper bound of a parameter that fills a u32 field. */
+constexpr u64 kU32Max = std::numeric_limits<u32>::max();
 
 std::string
 toLower(std::string s)
@@ -97,20 +104,26 @@ class Query
         return def;
     }
 
+    /** Decimal value of @p key in [@p min, @p max], or @p def if
+     *  absent; signs, blanks and out-of-range values are errors. */
     u64
-    num(const std::string &key, u64 def)
+    num(const std::string &key, u64 def, u64 min = 0,
+        u64 max = std::numeric_limits<u64>::max())
     {
         const std::string v = str(key);
         if (v.empty())
             return def;
-        char *end = nullptr;
-        u64 parsed = std::strtoull(v.c_str(), &end, 10);
-        if (end == v.c_str() || *end != '\0')
-            badWorkload("workload '%s': parameter %s=%s is not a number",
-                  name_.c_str(), key.c_str(), v.c_str());
-        return parsed;
+        const std::optional<u64> parsed = parseUnsigned(v, min, max);
+        if (!parsed)
+            badWorkload("workload '%s': parameter %s=%s is not a number "
+                        "in [%llu, %llu]",
+                        name_.c_str(), key.c_str(), v.c_str(),
+                        static_cast<unsigned long long>(min),
+                        static_cast<unsigned long long>(max));
+        return *parsed;
     }
 
+    /** Finite value of @p key, or @p def if absent. */
     double
     real(const std::string &key, double def)
     {
@@ -118,8 +131,9 @@ class Query
         if (v.empty())
             return def;
         char *end = nullptr;
-        double parsed = std::strtod(v.c_str(), &end);
-        if (end == v.c_str() || *end != '\0')
+        const double parsed = std::strtod(v.c_str(), &end);
+        if (std::isspace(static_cast<unsigned char>(v[0])) ||
+            end == v.c_str() || *end != '\0' || !std::isfinite(parsed))
             badWorkload("workload '%s': parameter %s=%s is not a number",
                   name_.c_str(), key.c_str(), v.c_str());
         return parsed;
@@ -216,9 +230,12 @@ makeDnn(const std::string &name, ParsedName &p, bool edge_platform)
         badWorkload("workload '%s': accel must be cloud or edge",
               name.c_str());
 
-    const u32 batch = static_cast<u32>(p.query.num("batch", 0));
+    const u32 batch = static_cast<u32>(p.query.num("batch", 0, 0, kU32Max));
     const u64 seed = p.query.num("seed", 1);
     const double density = p.query.real("density", 1.0);
+    if (density <= 0.0 || density > 1.0)
+        badWorkload("workload '%s': density must be in (0, 1]",
+                    name.c_str());
     p.query.finish();
 
     auto kernel = std::make_unique<dnn::DnnKernel>(
@@ -260,8 +277,10 @@ makeGraph(const std::string &name, ParsedName &p)
     // The figure-14 defaults: PageRank converges in 3 sweeps on the
     // scaled graphs, the frontier algorithms run one more.
     const u32 iters = static_cast<u32>(p.query.num(
-        "iters", alg == graph::GraphAlgorithm::PageRank ? 3 : 4));
-    spec.scale = static_cast<u32>(p.query.num("scale", spec.scale));
+        "iters", alg == graph::GraphAlgorithm::PageRank ? 3 : 4, 0,
+        kU32Max));
+    spec.scale =
+        static_cast<u32>(p.query.num("scale", spec.scale, 1, kU32Max));
     const u64 seed = p.query.num("seed", 11);
 
     const std::string vec_str = toLower(p.query.str("vector", "seq"));
@@ -319,10 +338,14 @@ makeVideo(const std::string &name, ParsedName &p)
     if (p.path.size() != 1 || toLower(p.path[0]) != "h264")
         badWorkload("workload '%s': expected video/h264", name.c_str());
     video::VideoConfig cfg;
-    cfg.numFrames = static_cast<u32>(p.query.num("frames", cfg.numFrames));
-    cfg.width = static_cast<u32>(p.query.num("width", cfg.width));
-    cfg.height = static_cast<u32>(p.query.num("height", cfg.height));
-    cfg.gopPeriod = static_cast<u32>(p.query.num("gop", cfg.gopPeriod));
+    cfg.numFrames = static_cast<u32>(
+        p.query.num("frames", cfg.numFrames, 0, kU32Max));
+    // At most 2^16 a side, so a frame's byte size stays exact.
+    cfg.width = static_cast<u32>(p.query.num("width", cfg.width, 1, 1 << 16));
+    cfg.height =
+        static_cast<u32>(p.query.num("height", cfg.height, 1, 1 << 16));
+    cfg.gopPeriod =
+        static_cast<u32>(p.query.num("gop", cfg.gopPeriod, 1, kU32Max));
     p.query.finish();
     return std::make_unique<video::VideoKernel>(cfg);
 }
@@ -333,13 +356,18 @@ makeMatMul(const std::string &name, ParsedName &p)
     if (p.path.size() != 1 || toLower(p.path[0]) != "matmul")
         badWorkload("workload '%s': expected core/matmul", name.c_str());
     core::MatMulParams params;
-    params.m = p.query.num("m", params.m);
-    params.n = p.query.num("n", params.n);
-    params.k = p.query.num("k", params.k);
-    params.mTiles = p.query.num("mtiles", params.mTiles);
-    params.nTiles = p.query.num("ntiles", params.nTiles);
-    params.kTiles = p.query.num("ktiles", params.kTiles);
+    params.m = p.query.num("m", params.m, 1);
+    params.n = p.query.num("n", params.n, 1);
+    params.k = p.query.num("k", params.k, 1);
+    params.mTiles = p.query.num("mtiles", params.mTiles, 1);
+    params.nTiles = p.query.num("ntiles", params.nTiles, 1);
+    params.kTiles = p.query.num("ktiles", params.kTiles, 1);
     p.query.finish();
+    // MatMulKernel's own precondition, which it enforces with fatal().
+    if (params.m % params.mTiles || params.n % params.nTiles ||
+        params.k % params.kTiles)
+        badWorkload("workload '%s': m, n, k must divide evenly into "
+                    "mtiles, ntiles, ktiles", name.c_str());
     return std::make_unique<core::MatMulKernel>(params);
 }
 

@@ -10,11 +10,12 @@
  *                         MobileNet (case-insensitive; resnet50, vgg16,
  *                         inception, bert-base, mobilenetv1 aliases)
  *                         params: task=inference|training, batch=N,
- *                         accel=cloud|edge, density=0..1, seed=N
+ *                         accel=cloud|edge, density in (0, 1],
+ *                         seed=N
  *   graph/<name>/<alg>    six paper graphs x pagerank|bfs|sssp
  *                         params: iters=N (default 3 for pagerank,
- *                         4 otherwise), vector=seq|random, scale=N,
- *                         seed=N
+ *                         4 otherwise), vector=seq|random, scale=N
+ *                         (N >= 1), seed=N
  *   genome/<workload>     the nine chr{1,X,Y}{PacBio,ONT2D,ONT1D}
  *                         GACT workloads; params: reads=N. The bare
  *                         chromosome names chr1 / chrX / chrY are
@@ -22,12 +23,16 @@
  *                         to ~1x coverage (referenceBases / readLen)
  *                         instead of the figure subset of 64
  *   video/h264            IBPB decode; params: frames=N, width=N,
- *                         height=N, gop=N
+ *                         height=N (1..65536), gop=N (N >= 1)
  *   core/matmul           Fig. 4's tiled MatMul; params: m=N, n=N,
- *                         k=N, mtiles=N, ntiles=N, ktiles=N
+ *                         k=N, mtiles=N, ntiles=N, ktiles=N (each
+ *                         tile count >= 1 and dividing its dimension)
  *
- * Unknown names and unknown parameter keys are fatal() — a typo should
- * fail loudly, not silently run the default workload.
+ * N is a plain decimal count (no sign, blank or suffix) that fits the
+ * field it fills; a parameter given with an empty value keeps its
+ * default. Unknown names, unknown parameter keys and values outside
+ * these ranges are fatal() — a typo should fail loudly, not silently
+ * run the default workload or crash the run.
  */
 
 #ifndef MGX_SIM_WORKLOAD_REGISTRY_H

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the BP metadata-pipeline overhaul: same-line memo
- * coalescing, tree-walk memoization, batched deferred replay, and the
- * metadata-range walker — all of which must be invisible in the
- * model's outputs.
+ * coalescing, tree-walk memoization, the deferred MAC queue's batch
+ * replay, and the metadata-range walker — all of which must be
+ * invisible in the model's outputs.
  *
  * Three layers:
  *  - unit: memo arming/invalidation semantics in MetaCache, and the
@@ -218,8 +218,8 @@ TEST(AccessBatch, MatchesSequentialAccessCycleForCycle)
     // One system serves a batch, the other the same requests one by
     // one; completion times, access counts, and every DRAM statistic
     // must agree. The stream interleaves two ascending line runs with
-    // same-line repeats and random jumps — the shapes the predictor
-    // slots do and do not catch.
+    // same-line repeats and random jumps, the shapes of a metadata
+    // queue with its fills and dirty victims.
     dram::Ddr4Config dcfg;
     dram::DramSystem batched(dcfg);
     dram::DramSystem sequential(dcfg);
@@ -285,6 +285,15 @@ constexpr GoldenRow kSmallCacheGolden[] = {
      0, 780352, 786368, 1190720},
     {"dnn/DLRM?task=inference", "Cloud", Scheme::MGX_MAC, 361256,
      3921664, 0, 271296, 779968, 1150912},
+    // Random single-block gathers: with this cache nearly every
+    // gather's VN/tree fills interleave with dirty victims. Captured
+    // (commit b7bcdf3) while those requests were still queued behind
+    // the loop; issuing them as they resolve keeps the same order.
+    {"graph/google-plus/pagerank?vector=random", "Graph", Scheme::BP,
+     4898931, 46296660, 108, 10166336, 10191872, 7707264},
+    {"graph/google-plus/pagerank?vector=random", "Graph",
+     Scheme::MGX_MAC, 4512244, 46296660, 108, 5808384, 10015424,
+     5958848},
     {"video/h264?frames=2", "Genome", Scheme::BP, 3867202, 3110400, 0,
      777600, 778112, 205184},
     {"video/h264?frames=2", "Genome", Scheme::MGX_MAC, 3667906,
@@ -298,14 +307,15 @@ constexpr GoldenRow kSmallCacheGolden[] = {
 TEST(GoldenSmallCache, EvictionHeavyCellsMatchPreOverhaulEngine)
 {
     // A 2 KB cache (32 lines) under multi-MB metadata footprints
-    // evicts on nearly every miss, so memos stale constantly and the
-    // deferred queues fill with victim writebacks — the worst case
+    // evicts on nearly every miss, so memos stale constantly and
+    // victim writebacks interleave with the fills — the worst case
     // for every mechanism of the overhaul.
     ProtectionConfig cfg;
     cfg.metaCacheBytes = 2 << 10;
     sim::ResultSet rs =
         sim::Experiment()
             .workloads({"core/matmul", "dnn/DLRM?task=inference",
+                        "graph/google-plus/pagerank?vector=random",
                         "video/h264?frames=2",
                         "genome/chr1PacBio?reads=2"})
             .schemes({Scheme::BP, Scheme::MGX_MAC})

@@ -75,6 +75,53 @@ TEST(RegistryDeathTest, UnknownNamesAreFatal)
                  "unknown parameter");
 }
 
+TEST(Registry, OutOfRangeParametersAreTypedErrors)
+{
+    // Each name used to crash (SIGFPE on a zero divisor, fatal() in a
+    // kernel), wrap ("-1" through strtoull), narrow (2^32 into a u32
+    // scale of 0) or slip through (blanks, nan, inf) — in a service
+    // that is a dead daemon or a run that never ends. Each must now
+    // be the registry's own error.
+    for (const char *name : {
+             "core/matmul?mtiles=0",
+             "core/matmul?mtiles=3",
+             "core/matmul?m=0",
+             "graph/pokec/pagerank?scale=0",
+             "graph/pokec/pagerank?scale=4294967296",
+             "video/h264?gop=0",
+             "video/h264?frames=-1",
+             "video/h264?frames= 2",
+             "video/h264?frames=2 ",
+             "video/h264?frames=+2",
+             "video/h264?width=0",
+             "dnn/BERT?density=-1",
+             "dnn/BERT?density=0",
+             "dnn/BERT?density=2",
+             "dnn/BERT?density=nan",
+             "dnn/BERT?density=inf",
+             "dnn/BERT?density= 0.5",
+             "dnn/BERT?batch=4294967296",
+         }) {
+        std::string error;
+        EXPECT_EQ(tryMakeKernel(name, defaultPlatform(name), &error),
+                  nullptr)
+            << name;
+        EXPECT_NE(error.find(name), std::string::npos)
+            << name << ": " << error;
+    }
+    // The bounds themselves stay valid.
+    for (const char *name :
+         {"core/matmul?m=64&n=64&k=64&mtiles=64", "video/h264?gop=1",
+          "video/h264?frames=0", "dnn/BERT?density=1",
+          "dnn/BERT?density=0.25",
+          "graph/pokec/pagerank?scale=4294967295"}) {
+        std::string error;
+        EXPECT_NE(tryMakeKernel(name, defaultPlatform(name), &error),
+                  nullptr)
+            << name << ": " << error;
+    }
+}
+
 TEST(Registry, DefaultPlatformsMatchThePaper)
 {
     EXPECT_EQ(defaultPlatform("dnn/ResNet").name, "Cloud");

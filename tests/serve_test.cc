@@ -392,6 +392,37 @@ TEST(ServerTest, RejectsUnknownNamesWithoutDying)
     server.shutdown();
 }
 
+TEST(ServerTest, OutOfRangeWorkloadParameterAnswers400AndKeepsServing)
+{
+    // gop=0 is a zero divisor in the H.264 decode schedule: unless the
+    // registry rejects it, the cell dies with SIGFPE and takes the
+    // daemon with it.
+    ServerOptions opts;
+    opts.listen.unixPath = testSocketPath("badparam");
+    Server server(opts);
+    server.start();
+    const SocketAddress addr{opts.listen.unixPath, "127.0.0.1", 0};
+
+    HttpResponse resp;
+    std::string error;
+    ASSERT_TRUE(httpGet(addr, "/run?workload=video/h264?gop=0", &resp,
+                        &error))
+        << error;
+    EXPECT_EQ(resp.status, 400);
+    EXPECT_NE(resp.body.find("gop=0"), std::string::npos) << resp.body;
+
+    ASSERT_TRUE(httpGet(addr,
+                        "/run?workload=video%2Fh264%3Fframes%3D2"
+                        "&schemes=NP",
+                        &resp, &error))
+        << error;
+    EXPECT_EQ(resp.status, 200) << resp.body;
+    const auto s = server.metricsSnapshot();
+    EXPECT_EQ(s.badRequests, 1u);
+    EXPECT_EQ(s.cellsRun, 1u);
+    server.shutdown();
+}
+
 TEST(ServerTest, DedupCollapsesConcurrentRequestsExactly)
 {
     constexpr unsigned kClients = 8;
